@@ -76,6 +76,26 @@ class DecodeCache:
         self._entries.clear()
 
 
+def fetch_batches(file: BufferedFile, cache: DecodeCache, page_ids, ahead):
+    """Yield ``(page_id, rows)`` for *page_ids* in order: the one place
+    batch walks fetch pages.
+
+    With *ahead* the pages are fetched as one metered run before the
+    first batch is yielded; the caller (the query plan) allows that only
+    when nothing reads this file while the batches are consumed, so the
+    read sequence is the per-page one.  Without it, or for a single
+    page, each page is read when its batch is due.
+    """
+    rows = cache.rows
+    if ahead and len(page_ids) > 1:
+        for page_id, page in zip(page_ids, file.read_run(page_ids)):
+            yield page_id, rows(page_id, page)
+    else:
+        read = file.read
+        for page_id in page_ids:
+            yield page_id, rows(page_id, read(page_id))
+
+
 class AccessMethod(ABC):
     """Base class: one storage structure over one buffered file."""
 
@@ -126,14 +146,28 @@ class AccessMethod(ABC):
         return self._cache.rows(page_id, page)
 
     def _chain_ids(self, head: int) -> "list[int]":
-        """Page ids of the overflow chain starting at *head* (metered)."""
+        """Page ids of the overflow chain starting at *head*, from the
+        in-memory overflow pointers (unmetered: the caller then fetches
+        every one of these pages through the pool)."""
         ids = []
-        page_id = head
-        while page_id != NO_PAGE:
-            ids.append(page_id)
-            page = self._file.read(page_id)
-            page_id = page.overflow
+        peek = self._file.peek
+        while head != NO_PAGE:
+            ids.append(head)
+            head = peek(head).overflow
         return ids
+
+    def _page_ids(self, page_filter=None, skip=range(0)) -> "list[int]":
+        """Page ids in file order, minus *skip* and the pages
+        *page_filter* (page_id -> bool) rejects without reading them."""
+        return [
+            page_id
+            for page_id in range(self.page_count)
+            if page_id not in skip
+            and (page_filter is None or page_filter(page_id))
+        ]
+
+    def _batches(self, page_ids, ahead: bool):
+        return fetch_batches(self._file, self._cache, page_ids, ahead)
 
     def read_rid(self, rid: RID) -> tuple:
         """Fetch the record at *rid* (metered page read)."""
@@ -198,44 +232,15 @@ class AccessMethod(ABC):
         """
 
     # -- batch access (the page-at-a-time execution kernel) ----------------
+    #
+    # Every structure implements ``scan_batches(page_filter=None,
+    # ahead=False)`` yielding ``(page_id, rows)`` per page in :meth:`scan`
+    # order, and keyed ones ``lookup_batches(key, ahead=False)`` yielding
+    # the matching rows of each page :meth:`lookup` visits.  Both list
+    # their page ids first and fetch them through :func:`fetch_batches`;
+    # *ahead* is the plan's decision that the run may be fetched at once.
 
-    def scan_batches(
-        self, page_filter=None
-    ) -> "Iterator[tuple[int, list[tuple]]]":
-        """Yield ``(page_id, rows)`` per page in :meth:`scan` order.
-
-        Every concrete structure overrides this with a direct page walk
-        that yields each page's batch *before* fetching the next page, so
-        interleaved I/O on other files (inner loops of a join) sees a read
-        sequence identical to :meth:`scan`'s.  This fallback groups
-        :meth:`scan` output by page; it meters the same total reads but
-        looks one page ahead at each batch boundary.
-        """
-        page_id = None
-        rows: "list[tuple]" = []
-        for (rid_page, _), row in self.scan():
-            if rid_page != page_id:
-                if page_id is not None:
-                    yield page_id, rows
-                page_id, rows = rid_page, []
-            rows.append(row)
-        if page_id is not None:
-            yield page_id, rows
-
-    def lookup_batches(self, key) -> "Iterator[list[tuple]]":
-        """Yield matching rows of *key*, one batch per visited page.
-
-        Mirrors :meth:`lookup`'s metered page walk.  Keyed structures
-        override this with a direct chain walk (no lookahead); this
-        fallback groups consecutive same-page matches of :meth:`lookup`.
-        """
-        page_id = None
-        rows: "list[tuple]" = []
-        for (rid_page, _), row in self.lookup(key):
-            if rid_page != page_id:
-                if rows:
-                    yield rows
-                page_id, rows = rid_page, []
-            rows.append(row)
-        if rows:
-            yield rows
+    def lookup_batches(self, key, ahead: bool = False):
+        """Keyed structures override this; the others have no keyed
+        access path."""
+        return self.lookup(key)

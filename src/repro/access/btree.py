@@ -277,23 +277,24 @@ class BTreeFile(AccessMethod):
                 yield (page_id, slot), row
             page_id = page.overflow
 
-    def scan_batches(self, page_filter=None):
+    def scan_batches(self, page_filter=None, ahead=False):
         """Per-leaf batches along the leaf chain (internal pages unread)."""
         if self._root == NO_PAGE:
             return
         page_id = self._root
         while page_id in self._internal:
             page_id = self._file.peek(page_id).overflow
-        while page_id != NO_PAGE:
-            if page_filter is not None and not page_filter(page_id):
-                page_id = self._file.peek(page_id).overflow
-                continue
-            page, rows = self._leaf_rows(page_id)
-            yield page_id, rows
-            page_id = page.overflow
+        leaves = [
+            leaf for leaf in self._chain_ids(page_id)
+            if page_filter is None or page_filter(leaf)
+        ]
+        yield from self._batches(leaves, ahead)
 
-    def lookup_batches(self, key):
-        """Per-leaf batches of the key's run (same metered descent/walk)."""
+    def lookup_batches(self, key, ahead=False):
+        """Per-leaf batches of the key's run (same metered descent/walk).
+
+        Page by page whatever *ahead* says: where the run ends is only
+        known once its last leaf has been read."""
         if self._root == NO_PAGE:
             raise AccessMethodError("B-tree was never built")
         key_index = self._key_index

@@ -148,11 +148,8 @@ class HashFile(AccessMethod):
             for slot, row in enumerate(rows):
                 yield (page_id, slot), row
 
-    def scan_batches(self, page_filter=None):
-        for page_id in range(self.page_count):
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            yield page_id, self._page_rows(page_id)
+    def scan_batches(self, page_filter=None, ahead=False):
+        yield from self._batches(self._page_ids(page_filter), ahead)
 
     def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
         """Read the whole bucket chain, yielding records matching *key*.
@@ -174,14 +171,11 @@ class HashFile(AccessMethod):
                     yield (page_id, slot), row
             page_id = page.overflow
 
-    def lookup_batches(self, key):
+    def lookup_batches(self, key, ahead=False):
         """Per-chain-page batches of matching rows (same reads as lookup)."""
         if not self._buckets:
             raise AccessMethodError("hash file was never built")
         key_index = self._key_index
-        page_id = hash_key(key, self._buckets)
-        while page_id != NO_PAGE:
-            page = self._file.read(page_id)
-            rows = self._cache.rows(page_id, page)
+        chain = self._chain_ids(hash_key(key, self._buckets))
+        for _, rows in self._batches(chain, ahead):
             yield [row for row in rows if row[key_index] == key]
-            page_id = page.overflow

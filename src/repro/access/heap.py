@@ -81,11 +81,8 @@ class HeapFile(AccessMethod):
             for slot, row in enumerate(rows):
                 yield (page_id, slot), row
 
-    def scan_batches(self, page_filter=None):
-        for page_id in range(self.page_count):
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            yield page_id, self._page_rows(page_id)
+    def scan_batches(self, page_filter=None, ahead=False):
+        yield from self._batches(self._page_ids(page_filter), ahead)
 
     def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
         raise AccessMethodError("heap files have no keyed access path")

@@ -221,16 +221,14 @@ class IsamFile(AccessMethod):
             for slot, row in enumerate(rows):
                 yield (page_id, slot), row
 
-    def scan_batches(self, page_filter=None):
+    def scan_batches(self, page_filter=None, ahead=False):
         """Per-page batches over data and overflow pages (no directory)."""
-        dir_start = self._data_pages
-        dir_end = dir_start + self.directory_pages
-        for page_id in range(self.page_count):
-            if dir_start <= page_id < dir_end:
-                continue
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            yield page_id, self._page_rows(page_id)
+        directory = range(
+            self._data_pages, self._data_pages + self.directory_pages
+        )
+        yield from self._batches(
+            self._page_ids(page_filter, skip=directory), ahead
+        )
 
     def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
         """Directory descent, then the owner page(s) and their chains."""
@@ -248,16 +246,16 @@ class IsamFile(AccessMethod):
                         yield (page_id, slot), row
                 page_id = page.overflow
 
-    def lookup_batches(self, key):
+    def lookup_batches(self, key, ahead=False):
         """Per-page batches of matching rows (same metered walk as lookup)."""
         if not self._levels:
             raise AccessMethodError("ISAM file was never built")
         key_index = self._key_index
         first, last = self._locate(key)
-        for data_page in range(first, last + 1):
-            page_id = data_page
-            while page_id != NO_PAGE:
-                page = self._file.read(page_id)
-                rows = self._cache.rows(page_id, page)
-                yield [row for row in rows if row[key_index] == key]
-                page_id = page.overflow
+        chains = [
+            page_id
+            for data_page in range(first, last + 1)
+            for page_id in self._chain_ids(data_page)
+        ]
+        for _, rows in self._batches(chains, ahead):
+            yield [row for row in rows if row[key_index] == key]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from repro.access.base import DecodeCache, StructureKind
+from repro.access.base import DecodeCache, StructureKind, fetch_batches
 from repro.access.hashfile import HashFile
 from repro.access.heap import HeapFile
 from repro.access.isam import IsamFile
@@ -113,17 +113,19 @@ class _ClusteredHistory:
             for slot, row in enumerate(self._cache.rows(page_id, page)):
                 yield ("h", page_id, slot), row
 
-    def scan_batches(self) -> "Iterator[tuple[tuple, list[tuple]]]":
-        for page_id in range(self._file.page_count):
-            page = self._file.read(page_id)
-            yield ("h", page_id), self._cache.rows(page_id, page)
+    def scan_batches(self, ahead=False):
+        pages = range(self._file.page_count)
+        for page_id, rows in fetch_batches(
+            self._file, self._cache, pages, ahead
+        ):
+            yield ("h", page_id), rows
 
-    def version_batches(self, key) -> "Iterator[list[tuple]]":
+    def version_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
         """Per-page batches of *key*'s versions (clustered pages are
         dedicated to one tuple, so a whole page is one batch)."""
-        for page_id in self._pages_by_key.get(key, ()):
-            page = self._file.read(page_id)
-            yield list(self._cache.rows(page_id, page))
+        pages = self._pages_by_key.get(key, [])
+        for _, rows in fetch_batches(self._file, self._cache, pages, ahead):
+            yield list(rows)
 
     def read(self, page_id: int, slot: int) -> tuple:
         page = self._file.read(page_id)
@@ -179,15 +181,18 @@ class _SimpleHistory:
         for (page_id, slot), row in self._heap.scan():
             yield ("h", page_id, slot), row
 
-    def scan_batches(self) -> "Iterator[tuple[tuple, list[tuple]]]":
-        for page_id, rows in self._heap.scan_batches():
+    def scan_batches(self, ahead=False):
+        for page_id, rows in self._heap.scan_batches(ahead=ahead):
             yield ("h", page_id), rows
 
-    def version_batches(self, key) -> "Iterator[list[tuple]]":
-        """Single-version batches along the chain (one read per page, as
-        the tuple-at-a-time chain walk meters it)."""
-        for rid, row in self.versions(key):
-            yield [row]
+    def version_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
+        """Single-version batches along the chain (one read per version,
+        as the tuple-at-a-time chain walk meters it)."""
+        rids = self._rids_by_key.get(key, [])
+        pages = [page_id for _, page_id, _ in rids]
+        batches = self._heap._batches(pages, ahead)
+        for (_, _, slot), (_, rows) in zip(rids, batches):
+            yield [rows[slot]]
 
     def read(self, page_id: int, slot: int) -> tuple:
         return self._heap.read_rid((page_id, slot))
@@ -325,20 +330,20 @@ class TwoLevelStore:
         yield from self.scan_current()
         yield from self._history.scan()
 
-    def scan_batches_current(self) -> "Iterator[tuple[tuple, list[tuple]]]":
+    def scan_batches_current(self, ahead=False):
         """Per-page batches over the primary store only."""
-        for page_id, rows in self._primary.scan_batches():
+        for page_id, rows in self._primary.scan_batches(ahead=ahead):
             yield ("p", page_id), rows
 
-    def scan_batches(self) -> "Iterator[tuple[tuple, list[tuple]]]":
+    def scan_batches(self, ahead=False):
         """Per-page batches: primary store then history store."""
-        yield from self.scan_batches_current()
-        yield from self._history.scan_batches()
+        yield from self.scan_batches_current(ahead)
+        yield from self._history.scan_batches(ahead)
 
-    def lookup_batches(self, key) -> "Iterator[list[tuple]]":
+    def lookup_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
         """Version scan in per-page batches: current then history."""
-        yield from self._primary.lookup_batches(key)
-        yield from self._history.version_batches(key)
+        yield from self._primary.lookup_batches(key, ahead)
+        yield from self._history.version_batches(key, ahead)
 
     def read_rid(self, rid: tuple) -> tuple:
         store, page_id, slot = rid

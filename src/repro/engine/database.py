@@ -134,15 +134,16 @@ class _SystemRelationAdapter:
         yield from self._heap.scan()
 
     def scan_batches(
-        self, current_only: bool = False, asof_max: "int | None" = None
+        self, current_only: bool = False, asof_max: "int | None" = None,
+        ahead: bool = False,
     ):
-        for _, rows in self._heap.scan_batches():
+        for _, rows in self._heap.scan_batches(ahead=ahead):
             yield rows
 
     def lookup_with_rids(self, key, current_only: bool = False):
         raise ExecutionError("system relations have no keyed access")
 
-    def lookup_batches(self, key, current_only: bool = False):
+    def lookup_batches(self, key, current_only=False, ahead=False):
         raise ExecutionError("system relations have no keyed access")
 
 

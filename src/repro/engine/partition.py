@@ -157,7 +157,7 @@ class _PartitionStore:
             ):
                 yield ((pid, page), slot), row
 
-    def scan_batches(self, page_filter=None) -> "Iterator[tuple]":
+    def scan_batches(self, page_filter=None, ahead=False):
         for pid, child in enumerate(self._parent.children):
             if page_filter is None:
                 composite_filter = None
@@ -167,7 +167,7 @@ class _PartitionStore:
                     return page_filter((_pid, page_id))
 
             for page_id, rows in child.storage.scan_batches(
-                page_filter=composite_filter
+                composite_filter, ahead
             ):
                 yield (pid, page_id), rows
 
@@ -178,9 +178,11 @@ class _PartitionStore:
             ].storage.lookup(key):
                 yield ((pid, page), slot), row
 
-    def lookup_batches(self, key) -> "Iterator[list]":
+    def lookup_batches(self, key, ahead=False) -> "Iterator[list]":
         for pid in self._parent.route_key_lookup(key):
-            yield from self._parent.children[pid].storage.lookup_batches(key)
+            yield from self._parent.children[pid].storage.lookup_batches(
+                key, ahead
+            )
 
     # -- statement undo ----------------------------------------------------
 
@@ -559,6 +561,7 @@ class PartitionedRelation:
         current_only: bool = False,
         asof_max: "int | None" = None,
         gather: "str | None" = None,
+        ahead: bool = False,
     ) -> "Iterator[list[tuple]]":
         """Pruned scan yielding per-page row batches, in partition order.
 
@@ -571,7 +574,7 @@ class PartitionedRelation:
         if mode == "serial" or len(survivors) < 2:
             for pid in survivors:
                 yield from self.children[pid].scan_batches(
-                    current_only, asof_max
+                    current_only, asof_max, ahead
                 )
             return
         # Thread fan-out (also the process-mode fallback for scans that
@@ -589,7 +592,10 @@ class PartitionedRelation:
             child = self.children[pid]
             started = time.perf_counter()
             with stats.scoped(scope):
-                batches = list(child.scan_batches(current_only, asof_max))
+                # Collected whole before anything else runs: one run.
+                batches = list(
+                    child.scan_batches(current_only, asof_max, ahead=True)
+                )
             if not traced:
                 return batches, None
             from repro.observe.span import new_span_id
@@ -641,9 +647,9 @@ class PartitionedRelation:
             yield from batches
 
     def lookup_batches(
-        self, key, current_only: bool = False
+        self, key, current_only: bool = False, ahead: bool = False
     ) -> "Iterator[list[tuple]]":
-        yield from self._store.lookup_batches(key)
+        yield from self._store.lookup_batches(key, ahead)
 
     def seq_scan(self, current_only: bool = False) -> "Iterator[tuple]":
         for _, row in self.scan_with_rids(current_only):

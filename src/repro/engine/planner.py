@@ -12,10 +12,12 @@ statistics only (page/bucket/directory counts, tuple and update counts,
 fillfactor, per-partition transaction bounds; never a metered page), and
 picks the cheapest.
 
-Ties go to the fixed strategy the engine always used (keyed probe, then
-secondary index, then scan), so with uniform costs the optimizer is
-plan-for-plan identical to ``REPRO_OPTIMIZER=off`` -- the differential
-test harness compares the two modes row-for-row.
+Near-ties go to the fixed strategy the engine always used (keyed probe,
+then secondary index, then scan): an alternative is chosen only when it
+wins by more than the model's error bar (``RATIO_TOLERANCE``), so with
+uniform costs the optimizer is plan-for-plan identical to
+``REPRO_OPTIMIZER=off`` -- the differential test harness compares the
+two modes row-for-row.
 
 For partitioned relations the planner additionally decides the gather
 mode: a scatter-gather scan whose surviving partitions hold almost no
@@ -33,7 +35,13 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.engine.cost import PathCost, index_cost, keyed_cost, scan_cost
+from repro.engine.cost import (
+    RATIO_TOLERANCE,
+    PathCost,
+    index_cost,
+    keyed_cost,
+    scan_cost,
+)
 
 # The optimizer is on by default; REPRO_OPTIMIZER=off (or 0/false)
 # restores the fixed keyed-probe/index/scan strategy everywhere --
@@ -179,9 +187,17 @@ class Planner:
         if scan is not None:
             candidates.append((scan, scan_choice))
 
-        # Cheapest wins; exact ties fall back to the fixed strategy's
-        # priority so the optimizer never flips a plan without a reason.
+        # The fixed strategy's pick (the first candidate of the best rank)
+        # stands unless an alternative beats it by more than the model's
+        # own error bar: a near-tie is within what the estimate cannot
+        # tell apart, so it is no reason to flip.
+        fixed = min(candidates, key=lambda item: _rank(item[0]))
         candidates.sort(key=lambda item: (item[0].predicted, _rank(item[0])))
+        if candidates[0][0].predicted * (1 + RATIO_TOLERANCE) >= (
+            fixed[0].predicted
+        ):
+            candidates.remove(fixed)
+            candidates.insert(0, fixed)
         best_cost, best = candidates[0]
         best.chosen = best_cost
         best.rejected = [cost for cost, _ in candidates[1:]]

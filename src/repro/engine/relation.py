@@ -435,15 +435,17 @@ class StoredRelation:
         self,
         current_only: bool = False,
         asof_max: "int | None" = None,
+        ahead: bool = False,
     ) -> "Iterator[list[tuple]]":
         """Sequential scan yielding per-page row batches.
 
         Reads the same pages in the same order as :meth:`scan_with_rids`
         (including zone-map skips); each batch is the decoded rows of one
-        page, yielded before the next page is fetched.
+        page, yielded before the next page is fetched -- or, with
+        *ahead*, after the whole range was fetched as one run.
         """
         if self.is_two_level and current_only:
-            for _, rows in self._storage.scan_batches_current():
+            for _, rows in self._storage.scan_batches_current(ahead):
                 yield rows
             return
         if (
@@ -457,20 +459,20 @@ class StoredRelation:
                 earliest = _map.get(page_id)
                 return earliest is not None and earliest <= _max
 
-            for _, rows in self._storage.scan_batches(page_filter=visible):
+            for _, rows in self._storage.scan_batches(visible, ahead):
                 yield rows
             return
-        for _, rows in self._storage.scan_batches():
+        for _, rows in self._storage.scan_batches(ahead=ahead):
             yield rows
 
     def lookup_batches(
-        self, key, current_only: bool = False
+        self, key, current_only: bool = False, ahead: bool = False
     ) -> "Iterator[list[tuple]]":
         """Keyed access yielding per-page batches of matching rows."""
         if self.is_two_level and current_only:
-            yield from self._storage.primary.lookup_batches(key)
+            yield from self._storage.primary.lookup_batches(key, ahead)
         else:
-            yield from self._storage.lookup_batches(key)
+            yield from self._storage.lookup_batches(key, ahead)
 
     def rid_from_tid(self, tid: int):
         """The native record id a packed tid denotes."""

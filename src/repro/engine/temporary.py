@@ -51,9 +51,9 @@ class TemporaryRelation:
         for _, row in self._heap.scan():
             yield row
 
-    def scan_batches(self):
+    def scan_batches(self, ahead: bool = False):
         """Yield per-page row batches (same metered reads as scan)."""
-        for _, rows in self._heap.scan_batches():
+        for _, rows in self._heap.scan_batches(ahead=ahead):
             yield rows
 
     def drop(self) -> None:

@@ -27,11 +27,7 @@ import json
 import pathlib
 import sys
 
-#: Relative tolerance on predicted/actual page reads.  Re-executing a
-#: query at an unchanged update count predicts its own measurement
-#: exactly; the budget absorbs model drift when the workload replays
-#: updates between executions (Fig. 9 holds to a few percent).
-RATIO_TOLERANCE = 0.25
+from repro.engine.cost import RATIO_TOLERANCE
 
 
 def _lanes(span, out: "list[tuple[str | None, str | None]]") -> None:

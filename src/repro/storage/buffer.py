@@ -10,6 +10,7 @@ the shared :class:`~repro.storage.iostats.IOStats` meter.
 Accounting rules:
 
 * a :meth:`read` that misses the pool costs one page read; a hit is free;
+  :meth:`read_run` costs exactly what one :meth:`read` per page would;
 * a freshly :meth:`allocate`-d page enters the pool dirty with no read cost;
 * dirty pages cost one page write when they leave the pool (eviction or
   :meth:`flush`);
@@ -138,6 +139,52 @@ class BufferedFile:
         self._evict_to(self._capacity - 1)
         self._resident[page_id] = False
         return self._file.page(page_id)
+
+    def read_run(self, page_ids) -> "list[Page]":
+        """Fetch *page_ids* in order, metered exactly like
+        ``[self.read(i) for i in page_ids]``.
+
+        The run replays read's hit/miss/evict/write-back sequence on the
+        pool, then reports it once: one touch, one read and one write
+        count to the meter, one hits and one misses increment.  Sinks
+        that observe single accesses -- an undo log, an enabled heatmap,
+        a debug-level recorder, active failpoints -- get the per-page
+        loop instead, so they see every event they see today.
+        """
+        heatmap, recorder = self._heatmap, self._recorder
+        if (
+            self._undo is not None
+            or fault.is_active()
+            or (heatmap is not None and heatmap.enabled)
+            or (recorder is not None and recorder.min_level <= _EVENT_DEBUG)
+        ):
+            return [self.read(page_id) for page_id in page_ids]
+        if not page_ids:
+            return []
+        if self._on_touch is not None:
+            self._on_touch(self._name)
+        resident, capacity = self._resident, self._capacity
+        misses = writes = 0
+        for page_id in page_ids:
+            if page_id in resident:
+                resident.move_to_end(page_id)
+                continue
+            misses += 1
+            while len(resident) >= capacity:
+                writes += resident.popitem(last=False)[1]
+            resident[page_id] = False
+        hits = len(page_ids) - misses
+        if misses:
+            self._stats.record_read(self._name, misses)
+        if writes:
+            self._stats.record_write(self._name, writes)
+        if self._metrics is not None:
+            if hits:
+                self._metrics.inc("buffer.hits", hits)
+            if misses:
+                self._metrics.inc("buffer.misses", misses)
+        page = self._file.page
+        return [page(page_id) for page_id in page_ids]
 
     def allocate(self, record_size: "int | None" = None) -> "tuple[int, Page]":
         """Allocate a fresh page; it enters the pool dirty (no read cost)."""
@@ -335,7 +382,10 @@ class BufferPool:
         """Record that the active scope brought a page of *name* into its
         pool (called by the files themselves on read/allocate)."""
         scope = self._stats.active_scope
-        self._touched.setdefault(scope, set()).add(name)
+        touched = self._touched.get(scope)
+        if touched is None:
+            touched = self._touched[scope] = set()
+        touched.add(name)
 
     def flush_statement(self) -> None:
         """Flush the files the active scope touched since its last flush.

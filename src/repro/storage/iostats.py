@@ -185,11 +185,11 @@ class IOStats:
         """
         return _ScopeGuard(self._local, scope)
 
-    def record_read(self, name: str) -> None:
-        """Count one page read against relation *name*."""
+    def record_read(self, name: str, pages: int = 1) -> None:
+        """Count *pages* page reads against relation *name*."""
         scope = self._local.scope
         with self._guard:
-            count = self._reads.get(name, 0) + 1
+            count = self._reads.get(name, 0) + pages
             self._reads[name] = count
             self._version += 1
             # Identity-first: the hot path re-reads the same interned
@@ -198,28 +198,28 @@ class IOStats:
             # first-seen rule ignores.
             if self._touch_log is not None and name is not self._touch_last:
                 self._touch_log.append(
-                    (name, count - 1, self._writes.get(name, 0))
+                    (name, count - pages, self._writes.get(name, 0))
                 )
                 self._touch_last = name
             if scope is not None:
                 counters = self._scoped_reads.setdefault(scope, {})
-                counters[name] = counters.get(name, 0) + 1
+                counters[name] = counters.get(name, 0) + pages
 
-    def record_write(self, name: str) -> None:
-        """Count one page write against relation *name*."""
+    def record_write(self, name: str, pages: int = 1) -> None:
+        """Count *pages* page writes against relation *name*."""
         scope = self._local.scope
         with self._guard:
-            count = self._writes.get(name, 0) + 1
+            count = self._writes.get(name, 0) + pages
             self._writes[name] = count
             self._version += 1
             if self._touch_log is not None and name is not self._touch_last:
                 self._touch_log.append(
-                    (name, self._reads.get(name, 0), count - 1)
+                    (name, self._reads.get(name, 0), count - pages)
                 )
                 self._touch_last = name
             if scope is not None:
                 counters = self._scoped_writes.setdefault(scope, {})
-                counters[name] = counters.get(name, 0) + 1
+                counters[name] = counters.get(name, 0) + pages
 
     def is_system(self, name: str) -> bool:
         """Whether *name* was registered as a system relation."""

@@ -24,6 +24,7 @@ import weakref
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError, TQuelSemanticError
+from repro.temporal.chronon import FOREVER
 from repro.temporal.interval import Period
 from repro.tquel import ast
 
@@ -82,25 +83,29 @@ class VarLayout:
             valid = (positions["valid_from"], positions["valid_to"])
         return cls(positions=positions, tx=tx, valid=valid, valid_at=valid_at)
 
-    def valid_period(self, row: tuple) -> Period:
+    def valid_period(self, row: tuple) -> "tuple[int, int]":
+        """The row's valid time as a ``(start, stop)`` pair, normalised
+        as :class:`Period` would be: a degenerate one is its start event."""
         if self.valid is not None:
             start = row[self.valid[0]]
             stop = row[self.valid[1]]
-            if stop > start:
-                return Period(start, stop)
-            return Period.event(start)
+            return (start, stop) if stop > start else _event(start)
         if self.valid_at is not None:
-            return Period.event(row[self.valid_at])
+            return _event(row[self.valid_at])
         raise ExecutionError("variable has no valid time")
 
-    def tx_period(self, row: tuple) -> Period:
+    def tx_period(self, row: tuple) -> "tuple[int, int]":
+        """The row's transaction time as a ``(start, stop)`` pair."""
         if self.tx is None:
             raise ExecutionError("variable has no transaction time")
         start = row[self.tx[0]]
         stop = row[self.tx[1]]
-        if stop > start:
-            return Period(start, stop)
-        return Period.event(start)
+        return (start, stop) if stop > start else _event(start)
+
+
+def _event(at: int) -> "tuple[int, int]":
+    """The event at chronon *at*, pinned at FOREVER like Period.event."""
+    return (FOREVER - 1, FOREVER) if at == FOREVER else (at, at + 1)
 
 
 def _truncating_div(left, right):
@@ -185,34 +190,42 @@ def compile_scalar(expr, var: "str | None", layouts, bindings):
 
 
 def compile_temporal(expr, var, layouts, bindings, clock):
-    """Compile a temporal operand into ``fn(row) -> Period | None``.
+    """Compile a temporal operand into ``fn(row) -> (start, stop) | None``.
+
+    Periods are half-open integer pairs and the operators are endpoint
+    comparisons, exactly the :class:`Period` algebra: ``start of`` is
+    ``(start, start + 1)``, ``end of`` is ``(stop - 1, stop)`` (the
+    pinned ``FOREVER`` event for a current period), ``overlap`` the
+    intersection and ``extend`` the span.  Constants enter through
+    :class:`Period`, so they are validated once per statement.
 
     ``None`` denotes an empty period (an ``overlap`` of disjoint operands)
     and propagates: predicates over it are false, ``extend`` ignores the
     empty side.
     """
     if isinstance(expr, ast.TempConst):
-        period = Period.event(clock.parse(expr.text))
+        event = Period.event(clock.parse(expr.text))
+        period = (event.start, event.stop)
         return lambda row: period
     if isinstance(expr, ast.TempVar):
-        layout = layouts[expr.var]
+        valid_period = layouts[expr.var].valid_period
         if expr.var == var:
-            return lambda row: layout.valid_period(row)
+            return valid_period
         name = expr.var
-        return lambda row: layout.valid_period(bindings[name])
+        return lambda row: valid_period(bindings[name])
     if isinstance(expr, ast.TempEdge):
         inner = compile_temporal(expr.operand, var, layouts, bindings, clock)
         if expr.which == "start":
 
             def start_of(row):
                 period = inner(row)
-                return None if period is None else period.start_event()
+                return None if period is None else (period[0], period[0] + 1)
 
             return start_of
 
         def end_of(row):
             period = inner(row)
-            return None if period is None else period.end_event()
+            return None if period is None else (period[1] - 1, period[1])
 
         return end_of
     if isinstance(expr, ast.TempBin):
@@ -225,7 +238,9 @@ def compile_temporal(expr, var, layouts, bindings, clock):
                 b = right(row)
                 if a is None or b is None:
                     return None
-                return a.intersect(b)
+                start = max(a[0], b[0])
+                stop = min(a[1], b[1])
+                return (start, stop) if start < stop else None
 
             return intersection
         if expr.op == "extend":
@@ -237,7 +252,7 @@ def compile_temporal(expr, var, layouts, bindings, clock):
                     return b
                 if b is None:
                     return a
-                return a.extend(b)
+                return (min(a[0], b[0]), max(a[1], b[1]))
 
             return span
         raise TQuelSemanticError(
@@ -254,7 +269,7 @@ def compile_when(node, var, layouts, bindings, clock):
             for operand in node.operands
         ]
         if node.op == "and":
-            return lambda row: all(part(row) for part in parts)
+            return conjunction(parts)
         return lambda row: any(part(row) for part in parts)
     if isinstance(node, ast.NotOp):
         inner = compile_when(node.operand, var, layouts, bindings, clock)
@@ -267,14 +282,17 @@ def compile_when(node, var, layouts, bindings, clock):
             def overlap_pred(row):
                 a = left(row)
                 b = right(row)
-                return a is not None and b is not None and a.overlaps(b)
+                return (
+                    a is not None and b is not None
+                    and a[0] < b[1] and b[0] < a[1]
+                )
 
             return overlap_pred
 
         def precede_pred(row):
             a = left(row)
             b = right(row)
-            return a is not None and b is not None and a.precedes(b)
+            return a is not None and b is not None and a[1] - 1 <= b[0]
 
         return precede_pred
     raise ExecutionError(f"cannot compile when node {node!r}")
@@ -297,12 +315,14 @@ def make_asof_filter(layout: VarLayout, period: Period):
 
 
 def conjunction(filters):
-    """Combine row filters; an empty list accepts everything."""
+    """Combine row filters, evaluated in order with short-circuit; an
+    empty list accepts everything."""
     if not filters:
         return lambda row: True
     if len(filters) == 1:
         return filters[0]
-    return lambda row: all(check(row) for check in filters)
+    first, rest = filters[0], conjunction(filters[1:])
+    return lambda row: first(row) and rest(row)
 
 
 def batch_conjunction(filters):
@@ -314,9 +334,5 @@ def batch_conjunction(filters):
     """
     if not filters:
         return lambda rows: rows
-    if len(filters) == 1:
-        check = filters[0]
-        return lambda rows: [row for row in rows if check(row)]
-    return lambda rows: [
-        row for row in rows if all(check(row) for check in filters)
-    ]
+    check = conjunction(filters)
+    return lambda rows: [row for row in rows if check(row)]

@@ -43,6 +43,7 @@ from repro.engine.result import Result
 from repro.errors import ExecutionError, TQuelSemanticError
 from repro.exec.scan import compile_page_fold, merge_partials
 from repro.storage.record import AttributeType, FieldSpec
+from repro.temporal.chronon import BEGINNING, FOREVER
 from repro.temporal.interval import Period
 from repro.tquel import ast
 from repro.tquel.compile import (
@@ -117,6 +118,11 @@ class Executor:
             )
         for source in self._sources.values():
             source.current_only = self._is_current_only(source)
+        # Variable -> layout, shared by every closure compiled for this
+        # statement; detachment swaps in the temporary's layout.
+        self._layouts: "dict[str, VarLayout]" = {
+            name: source.layout for name, source in self._sources.items()
+        }
 
     # -- clause resolution ------------------------------------------------------
 
@@ -144,7 +150,7 @@ class Executor:
         period = fn(None)
         if period is None:
             raise ExecutionError("empty period in a constant temporal clause")
-        return period
+        return Period(*period)
 
     def _is_current_only(self, source: _VarSource) -> bool:
         """Do the constraints restrict *source* to fully-current versions?
@@ -192,18 +198,15 @@ class Executor:
         )
         return has_var and has_now
 
-    # -- layouts & compilation helpers ----------------------------------------------
-
-    def _layouts(self) -> "dict[str, VarLayout]":
-        return {name: source.layout for name, source in self._sources.items()}
+    # -- compilation helpers ----------------------------------------------------------
 
     def _compile_conjunct(self, conjunct: Conjunct, var: "str | None"):
         if conjunct.is_temporal:
             return compile_when(
-                conjunct.expr, var, self._layouts(), self._bindings, self._db
+                conjunct.expr, var, self._layouts, self._bindings, self._db
             )
         return compile_scalar(
-            conjunct.expr, var, self._layouts(), self._bindings
+            conjunct.expr, var, self._layouts, self._bindings
         )
 
     def _pending_filter_list(self, var: str, bound: "set[str]"):
@@ -212,17 +215,12 @@ class Executor:
         A conjunct applies at the first loop depth where all its variables
         are bound; constant-only conjuncts apply at the outermost loop.
         Consumes each applicable conjunct (and the variable's as-of
-        filter), so call exactly once per (var, depth).
+        filter), so call exactly once per (var, depth).  The as-of
+        filter goes first: two compares that reject every version the
+        as-of event cannot see before any conjunct runs.
         """
         source = self._sources[var]
         filters = []
-        available = bound | {var}
-        for index, conjunct in enumerate(self._conjuncts):
-            if index in self._consumed:
-                continue
-            if conjunct.vars <= available:
-                filters.append(self._compile_conjunct(conjunct, var))
-                self._consumed.add(index)
         if (
             not source.asof_applied
             and self._asof_period is not None
@@ -230,6 +228,13 @@ class Executor:
         ):
             filters.append(make_asof_filter(source.layout, self._asof_period))
             source.asof_applied = True
+        available = bound | {var}
+        for index, conjunct in enumerate(self._conjuncts):
+            if index in self._consumed:
+                continue
+            if conjunct.vars <= available:
+                filters.append(self._compile_conjunct(conjunct, var))
+                self._consumed.add(index)
         return filters
 
     def _pending_filters(self, var: str, bound: "set[str]"):
@@ -244,8 +249,6 @@ class Executor:
         Returns ``(attribute_position, value_closure)`` or ``None``.
         """
         source = self._sources[var]
-        relation = source.relation
-        layouts = self._layouts()
         for conjunct in self._conjuncts:
             if conjunct.is_temporal:
                 continue
@@ -269,7 +272,7 @@ class Executor:
                 if position is None:
                     continue
                 value_fn = compile_scalar(
-                    value_side, None, layouts, self._bindings
+                    value_side, None, self._layouts, self._bindings
                 )
                 yield position, value_fn
 
@@ -292,12 +295,13 @@ class Executor:
         return self._planner.choose(self, var, bound, self._plan_key)
 
     def _planned_source(self, choice, var: str, bound: "set[str]",
-                        batch: bool):
+                        batch: bool, ahead: bool = False):
         """Build the row source the planner chose.
 
         Key-equality value closures are re-resolved here (decisions are
         cached across executions; closures are not).  Falls through to a
-        sequential scan, the always-feasible path.
+        sequential scan, the always-feasible path.  *ahead* as in
+        :meth:`_batch_candidates`.
         """
         source = self._sources[var]
         relation = source.relation
@@ -308,7 +312,7 @@ class Executor:
                     continue
                 if batch:
                     return lambda vf=value_fn: relation.lookup_batches(
-                        vf(None), current_only=current_only
+                        vf(None), current_only, ahead
                     )
                 return lambda vf=value_fn: _lookup_with_rids(
                     relation, vf(None), current_only
@@ -334,10 +338,10 @@ class Executor:
             ):
                 return lambda: relation.scan_batches(
                     current_only=current_only, asof_max=asof_max,
-                    gather=choice.gather,
+                    gather=choice.gather, ahead=ahead,
                 )
             return lambda: relation.scan_batches(
-                current_only=current_only, asof_max=asof_max
+                current_only, asof_max, ahead=ahead
             )
         return lambda: _scan_with_rids(relation, current_only, asof_max)
 
@@ -371,29 +375,31 @@ class Executor:
         asof_max = self._scan_asof_max(var)
         return lambda: _scan_with_rids(relation, current_only, asof_max)
 
-    def _batch_candidates(self, var: str, bound: "set[str]"):
+    def _batch_candidates(self, var: str, bound: "set[str]", ahead: bool):
         """Batched row source for *var*: a zero-argument callable yielding
         per-page row batches.
 
         Chooses the same access path as :meth:`_candidates` and reads the
-        same pages in the same order; each batch is yielded before the
-        next page is fetched, so interleaved accounting (self-joins over
-        one file) matches the tuple-at-a-time path exactly.
+        same pages in the same order.  With *ahead* (nothing deeper in the
+        plan reads what *var* reads) a scan range or chain is fetched as
+        one metered run; without it each batch is yielded before the next
+        page is fetched, so interleaved accounting (self-joins over one
+        file) matches the tuple-at-a-time path exactly.
         """
         source = self._sources[var]
         if source.temp is not None:
             temp = source.temp
-            return lambda: temp.scan_batches()
+            return lambda: temp.scan_batches(ahead)
         choice = self.access_choice(var, bound)
         if choice is not None:
-            return self._planned_source(choice, var, bound, batch=True)
+            return self._planned_source(choice, var, bound, True, ahead)
         relation = source.relation
         current_only = source.current_only
         # 1. keyed access on the primary structure
         for position, value_fn in self._find_key_equality(var, bound):
             if relation.can_key_lookup(position):
                 return lambda vf=value_fn: relation.lookup_batches(
-                    vf(None), current_only=current_only
+                    vf(None), current_only, ahead
                 )
         # 2. secondary-index access (point reads stay single-row batches)
         for position, value_fn in self._find_key_equality(var, bound):
@@ -405,7 +411,7 @@ class Executor:
         # 3. sequential scan (zone map applies as in _candidates)
         asof_max = self._scan_asof_max(var)
         return lambda: relation.scan_batches(
-            current_only=current_only, asof_max=asof_max
+            current_only, asof_max, ahead=ahead
         )
 
     # -- detachment ----------------------------------------------------------------------
@@ -427,7 +433,7 @@ class Executor:
                 self._pending_filter_list(var, bound=set())
             )
             append = temp.append
-            for batch in self._batch_candidates(var, bound=set())():
+            for batch in self._batch_candidates(var, set(), ahead=True)():
                 for row in predicate(batch):
                     append(tuple(row[i] for i in positions))
         else:
@@ -438,7 +444,7 @@ class Executor:
                     temp.append(tuple(row[i] for i in positions))
         temp.finish_writing()
         source.temp = temp
-        source.layout = VarLayout.for_fields(fields)
+        source.layout = self._layouts[var] = VarLayout.for_fields(fields)
         self._temps.append(temp)
 
     def _needed_attributes(self, var: str) -> "set[str]":
@@ -478,7 +484,7 @@ class Executor:
             metrics.inc("executor.detachments", detached)
             metrics.observe("statement.detachments", detached)
 
-        layouts = self._layouts()
+        layouts = self._layouts
         columns = [name for name, _, __ in analysis.targets]
 
         if analysis.has_aggregates:
@@ -506,9 +512,9 @@ class Executor:
             if period is None:
                 return
             if valid_mode == "interval":
-                rows.append(values + (period.start, period.stop))
+                rows.append(values + period)
             else:
-                rows.append(values + (period.start,))
+                rows.append(values + (period[0],))
 
         self._execute_join(order, emit)
 
@@ -786,11 +792,23 @@ class Executor:
 
     def _build_batch_plan(self, order: "list[str]") -> list:
         """Like :meth:`_build_plan`, with batched sources and each depth's
-        conjuncts fused into one per-batch predicate."""
+        conjuncts fused into one per-batch predicate.
+
+        A depth may fetch its pages as runs only when no deeper depth
+        reads the same relation (or temporary): a deeper read of that
+        file between two of its batches would see a different pool.
+        """
+        reads = [
+            source.temp if source.temp is not None else source.relation
+            for source in (self._sources[var] for var in order)
+        ]
         plan = []
         for depth, var in enumerate(order):
             bound = set(order[:depth])
-            produce = self._batch_candidates(var, bound)
+            ahead = all(
+                deeper is not reads[depth] for deeper in reads[depth + 1:]
+            )
+            produce = self._batch_candidates(var, bound, ahead)
             predicate = batch_conjunction(
                 self._pending_filter_list(var, bound)
             )
@@ -919,8 +937,9 @@ class Executor:
         """How the result's implicit time attributes are computed.
 
         Returns ``(mode, fn)`` where mode is ``"none"``, ``"interval"`` or
-        ``"event"`` and ``fn()`` yields the per-tuple period (or ``None`` to
-        drop the tuple, when the default intersection is empty).
+        ``"event"`` and ``fn()`` yields the per-tuple ``(start, stop)``
+        period (or ``None`` to drop the tuple, when the default
+        intersection is empty).
         """
         analysis = self._analysis
         valid = analysis.valid
@@ -929,12 +948,7 @@ class Executor:
                 at_fn = compile_temporal(
                     valid.at, None, layouts, self._bindings, self._db
                 )
-
-                def event_fn():
-                    period = at_fn(None)
-                    return None if period is None else period.start_event()
-
-                return "event", event_fn
+                return "event", lambda: at_fn(None)
             from_fn = compile_temporal(
                 valid.from_, None, layouts, self._bindings, self._db
             )
@@ -947,9 +961,9 @@ class Executor:
                 stop = to_fn(None)
                 if start is None or stop is None:
                     return None
-                if stop.stop <= start.start:
+                if stop[1] <= start[0]:
                     return None
-                return Period(start.start, stop.stop)
+                return (start[0], stop[1])
 
             return "interval", interval_fn
 
@@ -961,16 +975,24 @@ class Executor:
         ]
         if not valid_vars:
             return "none", None
-        sources = [self._sources[name] for name in valid_vars]
+        periods = [
+            (name, self._sources[name].layout.valid_period)
+            for name in valid_vars
+        ]
+        bindings = self._bindings
+        if len(periods) == 1:
+            [(name, valid_period)] = periods
+            return "interval", lambda: valid_period(bindings[name])
 
         def default_fn():
-            period = None
-            for source in sources:
-                own = source.layout.valid_period(self._bindings[source.name])
-                period = own if period is None else period.intersect(own)
-                if period is None:
+            start, stop = BEGINNING, FOREVER
+            for name, valid_period in periods:
+                own_start, own_stop = valid_period(bindings[name])
+                start = max(start, own_start)
+                stop = min(stop, own_stop)
+                if stop <= start:
                     return None
-            return period
+            return (start, stop)
 
         return "interval", default_fn
 
@@ -1054,7 +1076,7 @@ class Executor:
         relation = self._sources[stmt.var].relation
         self._require_mutable(relation)
         schema = relation.schema
-        layouts = self._layouts()
+        layouts = self._layouts
 
         collected = self._collect_targets(stmt.var)
         # Evaluate assignments while bindings are known, per target.
@@ -1067,6 +1089,7 @@ class Executor:
             for name, expr, _ in analysis.targets
         ]
         valid_fns = self._valid_spec_fns(layouts, stmt.var)
+        params = self._bindings.get("$params")
         for rid, row, binding_snapshot in collected:
             self._bindings.update(binding_snapshot)
             new_user = list(row[: schema.user_count])
@@ -1080,6 +1103,8 @@ class Executor:
             assignments[rid] = tuple(new_user)
             valid_specs[rid] = valid_fns(row)
             self._bindings.clear()
+            if params is not None:
+                self._bindings["$params"] = params
 
         now = self._db.statement_now()
         count = mutate.apply_replace(
@@ -1098,7 +1123,7 @@ class Executor:
         relation = self._db.relation(stmt.relation)
         self._require_mutable(relation)
         schema = relation.schema
-        layouts = self._layouts()
+        layouts = self._layouts
         assigned = {name: expr for name, expr, _ in analysis.targets}
         value_fns = []
         for spec in schema.user_fields:
@@ -1151,7 +1176,7 @@ class Executor:
                 period = at_fn(row)
                 if period is None:
                     raise ExecutionError("empty 'valid at' period")
-                return mutate.ValidSpec(valid_at=period.start)
+                return mutate.ValidSpec(valid_at=period[0])
 
             return at_spec
         from_fn = compile_temporal(
@@ -1166,13 +1191,11 @@ class Executor:
             stop = to_fn(row)
             if start is None or stop is None:
                 raise ExecutionError("empty period in valid clause")
-            if stop.stop <= start.start:
+            if stop[1] <= start[0]:
                 raise ExecutionError(
                     "valid clause: 'to' precedes 'from'"
                 )
-            return mutate.ValidSpec(
-                valid_from=start.start, valid_to=stop.stop
-            )
+            return mutate.ValidSpec(valid_from=start[0], valid_to=stop[1])
 
         return interval_spec
 

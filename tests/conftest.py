@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro import Clock, TemporalDatabase, parse_temporal
 
 JAN1_1980 = parse_temporal("1/1/80")
 MAR1_1980 = parse_temporal("3/1/80")
+
+# The suite is a pure function of the tree: every property test draws the
+# examples its own source derives (derandomize), nothing is replayed from
+# or saved to a local example database, and no verdict depends on the
+# machine's speed.  ``pytest --hypothesis-profile explore`` (Hypothesis's
+# own option, applied after this file loads) searches instead: a random
+# seed, more examples where a test does not fix its own count, failures
+# kept in .hypothesis/ and printed with a reproduction blob -- promote
+# what it finds to an ``@example``.
+settings.register_profile(
+    "tier1",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "explore", derandomize=False, max_examples=500, print_blob=True
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

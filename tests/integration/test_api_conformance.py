@@ -119,6 +119,21 @@ def test_prepare_execute_with_params(make_session):
     assert [len(result) for result in many] == [1, 1, 0]
 
 
+def test_prepared_replace_binds_params_for_every_target(make_session):
+    """Parameters stay bound while a replace evaluates its assignments
+    for each qualifying version, not only the first one."""
+    session = make_session()
+    session.execute("create emp (name = c20, sal = i4)")
+    for name, sal in (("ahn", 1), ("ahn", 2), ("snodgrass", 3)):
+        session.execute(f'append to emp (name = "{name}", sal = {sal})')
+    session.execute("range of e is emp")
+    raise_pay = session.prepare("replace e (sal = $sal) where e.name = $name")
+    assert raise_pay.execute(params={"sal": 50, "name": "ahn"}).count == 2
+    assert sorted(session.execute("retrieve (e.name, e.sal)").rows) == [
+        ("ahn", 50), ("ahn", 50), ("snodgrass", 3)
+    ]
+
+
 def test_empty_result_shape(make_session):
     session = make_session()
     _load(session)
