@@ -3,11 +3,9 @@
 These time the machinery (not the paper's page counts): loading a test
 database, one uniform evolution pass, a representative mix of keyed /
 scan / join queries on the temporal database, and the full eight-config
-sweep in batch vs tuple-at-a-time execution.  Useful for tracking
+sweep, serial and fanned across worker processes.  Useful for tracking
 performance regressions in the engine.
 """
-
-import time
 
 import pytest
 
@@ -65,42 +63,9 @@ def test_time_join_with_substitution(benchmark):
     assert result.input_pages > 256  # one probe per tuple
 
 
-# Reduced-scale sweep for the execution-mode comparisons: large enough
+# Reduced-scale sweep for the serial/parallel comparison: large enough
 # that query execution (not loading) dominates, small enough for CI.
 SWEEP_KWARGS = dict(tuples=128, max_update_count=3, seed=7, cache=False)
-
-
-@pytest.mark.benchmark(group="sweep")
-def test_time_full_sweep_batch_vs_tuple(benchmark):
-    """Full eight-config sweep, batch kernel vs tuple-at-a-time.
-
-    The hard assertion is the invariant (every cell byte-identical); the
-    measured speedup is reported via ``extra_info`` rather than asserted,
-    since it varies with host and scale.
-    """
-    import repro.tquel.interpreter as interpreter
-
-    saved = interpreter.DEFAULT_BATCH_EXECUTION
-    try:
-        interpreter.DEFAULT_BATCH_EXECUTION = False
-        started = time.perf_counter()
-        reference = run_suite(**SWEEP_KWARGS)
-        tuple_seconds = time.perf_counter() - started
-
-        interpreter.DEFAULT_BATCH_EXECUTION = True
-        batched = benchmark.pedantic(
-            run_suite, kwargs=SWEEP_KWARGS, rounds=3, iterations=1
-        )
-    finally:
-        interpreter.DEFAULT_BATCH_EXECUTION = saved
-
-    for label, result in batched.items():
-        assert result.to_dict() == reference[label].to_dict(), label
-    batch_seconds = benchmark.stats.stats.mean
-    benchmark.extra_info["tuple_at_a_time_seconds"] = round(tuple_seconds, 3)
-    benchmark.extra_info["speedup_vs_tuple"] = round(
-        tuple_seconds / batch_seconds, 2
-    )
 
 
 @pytest.mark.benchmark(group="sweep")

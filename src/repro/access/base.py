@@ -1,11 +1,16 @@
 """Common machinery for access methods.
 
 An access method owns one :class:`~repro.storage.buffer.BufferedFile` and
-knows how to *build* (bulk load, as ``modify`` does), *scan*, *lookup* by
-key, *insert*, and *update in place*.  Records are Python tuples in schema
-attribute order; the record codec turns them into page bytes.
+knows how to *build* (bulk load, as ``modify`` does), read page batches
+(a scan, or a lookup by key), *insert*, and *update in place*.  Records
+are Python tuples in schema attribute order; the record codec turns them
+into page bytes.
 
-Record ids (RIDs) are ``(page_id, slot)`` pairs.  Slots are stable: the
+Every read is a stream of batches ``(addr, slots, rows)``: the rows one
+page contributes, their slot numbers on that page, and the page's
+address.  A structure's :meth:`~RowView.rid_at` turns an address and a
+slot into a record id -- the one place a rid is built.  Record ids
+(RIDs) are ``(page_id, slot)`` pairs here.  Slots are stable: the
 version semantics of the prototype never delete or move records.
 
 Decoded-tuple caching: decoding a page is pure function of its byte image,
@@ -23,11 +28,16 @@ from typing import Iterator
 
 from repro.errors import AccessMethodError
 from repro.storage.buffer import BufferedFile
-from repro.storage.page import NO_PAGE, Page
+from repro.storage.page import NO_PAGE, PAGE_SIZE, Page
 from repro.storage.record import RecordCodec
 
 RID = tuple
 """Record id: a ``(page_id, slot)`` pair."""
+
+PAGE_SLOTS = range(PAGE_SIZE)
+"""The ``slots`` of a whole-page batch: row ``i`` sits in slot ``i``.  One
+shared range (no page holds more records than it has bytes), so a page
+batch allocates nothing for its slots."""
 
 
 class StructureKind(enum.Enum):
@@ -77,8 +87,8 @@ class DecodeCache:
 
 
 def fetch_batches(file: BufferedFile, cache: DecodeCache, page_ids, ahead):
-    """Yield ``(page_id, rows)`` for *page_ids* in order: the one place
-    batch walks fetch pages.
+    """Yield whole-page batches ``(page_id, PAGE_SLOTS, rows)`` for
+    *page_ids* in order: the one place batch walks fetch pages.
 
     With *ahead* the pages are fetched as one metered run before the
     first batch is yielded; the caller (the query plan) allows that only
@@ -89,14 +99,42 @@ def fetch_batches(file: BufferedFile, cache: DecodeCache, page_ids, ahead):
     rows = cache.rows
     if ahead and len(page_ids) > 1:
         for page_id, page in zip(page_ids, file.read_run(page_ids)):
-            yield page_id, rows(page_id, page)
+            yield page_id, PAGE_SLOTS, rows(page_id, page)
     else:
         read = file.read
         for page_id in page_ids:
-            yield page_id, rows(page_id, read(page_id))
+            yield page_id, PAGE_SLOTS, rows(page_id, read(page_id))
 
 
-class AccessMethod(ABC):
+class RowView:
+    """``(rid, row)`` pairs over a structure's batches.
+
+    Queries consume batches; this view serves the maintenance callers
+    that want records one at a time (rebuilds, index builds and probes,
+    zone maps, integrity checks).  It reads exactly what the batches
+    read, page by page.
+    """
+
+    def rid_at(self, addr, slot: int) -> RID:
+        """The record id of *slot* on the page at *addr*."""
+        return (addr, slot)
+
+    def scan(self) -> "Iterator[tuple[RID, tuple]]":
+        """Every record in scan order (metered)."""
+        rid_at = self.rid_at
+        for addr, slots, rows in self.scan_batches():
+            for slot, row in zip(slots, rows):
+                yield rid_at(addr, slot), row
+
+    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
+        """Every record whose key equals *key* (metered)."""
+        rid_at = self.rid_at
+        for addr, slots, rows in self.lookup_batches(key):
+            for slot, row in zip(slots, rows):
+                yield rid_at(addr, slot), row
+
+
+class AccessMethod(RowView, ABC):
     """Base class: one storage structure over one buffered file."""
 
     kind: StructureKind
@@ -140,11 +178,6 @@ class AccessMethod(ABC):
         """Whether equality on *attribute_index* can use keyed access."""
         return self._key_index is not None and attribute_index == self._key_index
 
-    def _page_rows(self, page_id: int) -> "list[tuple]":
-        """Fetch (metered) and decode one page."""
-        page = self._file.read(page_id)
-        return self._cache.rows(page_id, page)
-
     def _chain_ids(self, head: int) -> "list[int]":
         """Page ids of the overflow chain starting at *head*, from the
         in-memory overflow pointers (unmetered: the caller then fetches
@@ -169,10 +202,23 @@ class AccessMethod(ABC):
     def _batches(self, page_ids, ahead: bool):
         return fetch_batches(self._file, self._cache, page_ids, ahead)
 
+    def _key_matches(self, page_ids, key, ahead: bool):
+        """Batches of *page_ids* narrowed to the rows whose key equals
+        *key* (every listed page is still read)."""
+        key_index = self._key_index
+        for page_id, _, rows in self._batches(page_ids, ahead):
+            found = [row for row in rows if row[key_index] == key]
+            # Most pages a probe walks hold no match; only the others pay
+            # for working out slots.
+            slots = [
+                slot for slot, row in enumerate(rows) if row[key_index] == key
+            ] if found else ()
+            yield page_id, slots, found
+
     def read_rid(self, rid: RID) -> tuple:
         """Fetch the record at *rid* (metered page read)."""
         page_id, slot = rid
-        rows = self._page_rows(page_id)
+        rows = self._cache.rows(page_id, self._file.read(page_id))
         if not 0 <= slot < len(rows):
             raise AccessMethodError(f"invalid rid {rid}")
         return rows[slot]
@@ -219,28 +265,21 @@ class AccessMethod(ABC):
     def insert(self, row: tuple) -> RID:
         """Insert one record; return its rid."""
 
-    @abstractmethod
-    def scan(self) -> "Iterator[tuple[RID, tuple]]":
-        """Yield every record in physical page order (metered)."""
-
-    @abstractmethod
-    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
-        """Yield every record whose key equals *key* (metered).
-
-        Heaps raise :class:`AccessMethodError`; callers must check
-        :meth:`keyed_on` first.
-        """
-
-    # -- batch access (the page-at-a-time execution kernel) ----------------
+    # -- reads ---------------------------------------------------------------
     #
-    # Every structure implements ``scan_batches(page_filter=None,
-    # ahead=False)`` yielding ``(page_id, rows)`` per page in :meth:`scan`
-    # order, and keyed ones ``lookup_batches(key, ahead=False)`` yielding
-    # the matching rows of each page :meth:`lookup` visits.  Both list
-    # their page ids first and fetch them through :func:`fetch_batches`;
-    # *ahead* is the plan's decision that the run may be fetched at once.
+    # Both list their page ids first and fetch them through
+    # :func:`fetch_batches`; *ahead* is the plan's decision that the run
+    # may be fetched at once.
+
+    @abstractmethod
+    def scan_batches(self, page_filter=None, ahead: bool = False):
+        """Yield ``(page_id, slots, rows)`` per page in physical order
+        (metered); *page_filter* (page_id -> bool) skips pages unread."""
 
     def lookup_batches(self, key, ahead: bool = False):
-        """Keyed structures override this; the others have no keyed
-        access path."""
-        return self.lookup(key)
+        """Yield the records whose key equals *key*, per page visited
+        (metered).  Keyed structures override this; callers must check
+        :meth:`keyed_on` first."""
+        raise AccessMethodError(
+            f"{self.kind.value} files have no keyed access path"
+        )

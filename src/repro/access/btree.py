@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterator
 
 from repro.access.base import (
     RID,
@@ -222,28 +221,6 @@ class BTreeFile(AccessMethod):
                 page_id = entries[position][1]
         return page_id, path
 
-    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
-        if self._root == NO_PAGE:
-            raise AccessMethodError("B-tree was never built")
-        key_index = self._key_index
-        page_id, _ = self._descend(key)
-        while page_id != NO_PAGE:
-            page, rows = self._leaf_rows(page_id)
-            keys = [row[key_index] for row in rows]
-            start = bisect_left(keys, key)
-            if start == len(keys) and keys and keys[-1] < key:
-                # Keys on this leaf all smaller: continue right once.
-                page_id = page.overflow
-                continue
-            for slot in range(start, len(rows)):
-                if keys[slot] != key:
-                    return
-                yield (page_id, slot), rows[slot]
-            if keys and keys[-1] == key:
-                page_id = page.overflow  # duplicates may continue
-            else:
-                return
-
     def delete(self, rid: RID) -> None:
         """Physically remove a record, preserving the leaf's sort order.
 
@@ -261,22 +238,6 @@ class BTreeFile(AccessMethod):
         self._rewrite(page_id, page, records)
         self._row_count -= 1
 
-    def scan(self, page_filter=None) -> "Iterator[tuple[RID, tuple]]":
-        """Key-ordered scan along the leaf chain (internal pages unread)."""
-        if self._root == NO_PAGE:
-            return
-        page_id = self._root
-        while page_id in self._internal:
-            page_id = self._file.peek(page_id).overflow
-        while page_id != NO_PAGE:
-            if page_filter is not None and not page_filter(page_id):
-                page_id = self._file.peek(page_id).overflow
-                continue
-            page, rows = self._leaf_rows(page_id)
-            for slot, row in enumerate(rows):
-                yield (page_id, slot), row
-            page_id = page.overflow
-
     def scan_batches(self, page_filter=None, ahead=False):
         """Per-leaf batches along the leaf chain (internal pages unread)."""
         if self._root == NO_PAGE:
@@ -291,7 +252,8 @@ class BTreeFile(AccessMethod):
         yield from self._batches(leaves, ahead)
 
     def lookup_batches(self, key, ahead=False):
-        """Per-leaf batches of the key's run (same metered descent/walk).
+        """Per-leaf batches of the key's run: the descent, then along the
+        leaf chain while keys match.
 
         Page by page whatever *ahead* says: where the run ends is only
         known once its last leaf has been read."""
@@ -304,19 +266,14 @@ class BTreeFile(AccessMethod):
             keys = [row[key_index] for row in rows]
             start = bisect_left(keys, key)
             if start == len(keys) and keys and keys[-1] < key:
+                # Keys on this leaf all smaller: continue right once.
                 page_id = page.overflow
                 continue
-            batch = []
-            for slot in range(start, len(rows)):
-                if keys[slot] != key:
-                    yield batch
-                    return
-                batch.append(rows[slot])
-            yield batch
-            if keys and keys[-1] == key:
-                page_id = page.overflow  # duplicates may continue
-            else:
+            end = bisect_right(keys, key)
+            yield page_id, range(start, end), rows[start:end]
+            if end < len(keys) or not keys:
                 return
+            page_id = page.overflow  # duplicates may continue
 
     # -- insertion ------------------------------------------------------------------
 

@@ -30,7 +30,6 @@ checksum.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from repro.access.base import (
     RID,
@@ -135,47 +134,22 @@ class HashFile(AccessMethod):
         self._row_count += 1
         return rid
 
-    def scan(self, page_filter=None) -> "Iterator[tuple[RID, tuple]]":
-        """Sequential scan in physical page order (primary then overflow).
-
-        *page_filter* (page_id -> bool) lets metadata-driven enhancements
-        (transaction-time zone maps) skip pages without reading them.
-        """
-        for page_id in range(self.page_count):
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            rows = self._page_rows(page_id)
-            for slot, row in enumerate(rows):
-                yield (page_id, slot), row
-
     def scan_batches(self, page_filter=None, ahead=False):
+        """Physical page order (primary then overflow); *page_filter*
+        lets metadata-driven enhancements (transaction-time zone maps)
+        skip pages without reading them."""
         yield from self._batches(self._page_ids(page_filter), ahead)
 
-    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
-        """Read the whole bucket chain, yielding records matching *key*.
+    def lookup_batches(self, key, ahead=False):
+        """The key's whole bucket chain, page by page, with the matching
+        rows of each.
 
-        The whole chain is read even if matches appear early: versions are
-        unordered, so the prototype cannot stop short -- this is why a
-        "most recent version" query (Q05) costs the same as a version scan
-        (Q01) on conventional structures.
+        The whole chain is read even if matches appear early: versions
+        are unordered, so the prototype cannot stop short -- this is why
+        a "most recent version" query (Q05) costs the same as a version
+        scan (Q01) on conventional structures.
         """
         if not self._buckets:
             raise AccessMethodError("hash file was never built")
-        key_index = self._key_index
-        page_id = hash_key(key, self._buckets)
-        while page_id != NO_PAGE:
-            page = self._file.read(page_id)
-            rows = self._cache.rows(page_id, page)
-            for slot, row in enumerate(rows):
-                if row[key_index] == key:
-                    yield (page_id, slot), row
-            page_id = page.overflow
-
-    def lookup_batches(self, key, ahead=False):
-        """Per-chain-page batches of matching rows (same reads as lookup)."""
-        if not self._buckets:
-            raise AccessMethodError("hash file was never built")
-        key_index = self._key_index
         chain = self._chain_ids(hash_key(key, self._buckets))
-        for _, rows in self._batches(chain, ahead):
-            yield [row for row in rows if row[key_index] == key]
+        return self._key_matches(chain, key, ahead)

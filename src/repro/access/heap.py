@@ -7,8 +7,6 @@ available, so every qualification is a sequential scan.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.access.base import RID, AccessMethod, StructureKind, effective_capacity
 from repro.errors import AccessMethodError
 
@@ -73,16 +71,5 @@ class HeapFile(AccessMethod):
         self._row_count += 1
         return (page_id, slot)
 
-    def scan(self, page_filter=None) -> "Iterator[tuple[RID, tuple]]":
-        for page_id in range(self.page_count):
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            rows = self._page_rows(page_id)
-            for slot, row in enumerate(rows):
-                yield (page_id, slot), row
-
     def scan_batches(self, page_filter=None, ahead=False):
         yield from self._batches(self._page_ids(page_filter), ahead)
-
-    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
-        raise AccessMethodError("heap files have no keyed access path")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterator
 
 from repro.access.base import (
     RID,
@@ -208,21 +207,8 @@ class IsamFile(AccessMethod):
         self._row_count += 1
         return (new_id, slot)
 
-    def scan(self, page_filter=None) -> "Iterator[tuple[RID, tuple]]":
-        """Sequential scan: data and overflow pages, skipping the directory."""
-        dir_start = self._data_pages
-        dir_end = dir_start + self.directory_pages
-        for page_id in range(self.page_count):
-            if dir_start <= page_id < dir_end:
-                continue
-            if page_filter is not None and not page_filter(page_id):
-                continue
-            rows = self._page_rows(page_id)
-            for slot, row in enumerate(rows):
-                yield (page_id, slot), row
-
     def scan_batches(self, page_filter=None, ahead=False):
-        """Per-page batches over data and overflow pages (no directory)."""
+        """Data and overflow pages in file order, skipping the directory."""
         directory = range(
             self._data_pages, self._data_pages + self.directory_pages
         )
@@ -230,32 +216,15 @@ class IsamFile(AccessMethod):
             self._page_ids(page_filter, skip=directory), ahead
         )
 
-    def lookup(self, key) -> "Iterator[tuple[RID, tuple]]":
-        """Directory descent, then the owner page(s) and their chains."""
-        if not self._levels:
-            raise AccessMethodError("ISAM file was never built")
-        key_index = self._key_index
-        first, last = self._locate(key)
-        for data_page in range(first, last + 1):
-            page_id = data_page
-            while page_id != NO_PAGE:
-                page = self._file.read(page_id)
-                rows = self._cache.rows(page_id, page)
-                for slot, row in enumerate(rows):
-                    if row[key_index] == key:
-                        yield (page_id, slot), row
-                page_id = page.overflow
-
     def lookup_batches(self, key, ahead=False):
-        """Per-page batches of matching rows (same metered walk as lookup)."""
+        """Directory descent, then the owner page(s) and their chains,
+        page by page, with the matching rows of each."""
         if not self._levels:
             raise AccessMethodError("ISAM file was never built")
-        key_index = self._key_index
         first, last = self._locate(key)
         chains = [
             page_id
             for data_page in range(first, last + 1)
             for page_id in self._chain_ids(data_page)
         ]
-        for _, rows in self._batches(chains, ahead):
-            yield [row for row in rows if row[key_index] == key]
+        return self._key_matches(chains, key, ahead)

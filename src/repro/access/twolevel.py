@@ -30,9 +30,13 @@ implements it, so the benchmark measures them.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
-from repro.access.base import DecodeCache, StructureKind, fetch_batches
+from repro.access.base import (
+    DecodeCache,
+    RowView,
+    StructureKind,
+    fetch_batches,
+)
 from repro.access.hashfile import HashFile
 from repro.access.heap import HeapFile
 from repro.access.isam import IsamFile
@@ -100,32 +104,19 @@ class _ClusteredHistory:
             for key, pages in meta["pages_by_key"]
         }
 
-    def versions(self, key) -> "Iterator[tuple[tuple, tuple]]":
-        """All history versions of *key*, oldest first (metered)."""
-        for page_id in self._pages_by_key.get(key, ()):
-            page = self._file.read(page_id)
-            for slot, row in enumerate(self._cache.rows(page_id, page)):
-                yield ("h", page_id, slot), row
-
-    def scan(self) -> "Iterator[tuple[tuple, tuple]]":
-        for page_id in range(self._file.page_count):
-            page = self._file.read(page_id)
-            for slot, row in enumerate(self._cache.rows(page_id, page)):
-                yield ("h", page_id, slot), row
-
-    def scan_batches(self, ahead=False):
-        pages = range(self._file.page_count)
-        for page_id, rows in fetch_batches(
+    def _batches(self, pages, ahead):
+        for page_id, slots, rows in fetch_batches(
             self._file, self._cache, pages, ahead
         ):
-            yield ("h", page_id), rows
+            yield ("h", page_id), slots, rows
 
-    def version_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
-        """Per-page batches of *key*'s versions (clustered pages are
-        dedicated to one tuple, so a whole page is one batch)."""
-        pages = self._pages_by_key.get(key, [])
-        for _, rows in fetch_batches(self._file, self._cache, pages, ahead):
-            yield list(rows)
+    def scan_batches(self, ahead=False):
+        return self._batches(range(self._file.page_count), ahead)
+
+    def version_batches(self, key, ahead=False):
+        """*key*'s versions, oldest first, page by page (clustered pages
+        are dedicated to one tuple, so a whole page is one batch)."""
+        return self._batches(self._pages_by_key.get(key, []), ahead)
 
     def read(self, page_id: int, slot: int) -> tuple:
         page = self._file.read(page_id)
@@ -170,35 +161,25 @@ class _SimpleHistory:
             for key, rids in meta["rids_by_key"]
         }
 
-    def versions(self, key) -> "Iterator[tuple[tuple, tuple]]":
-        """Follow the per-tuple version chain (one metered read per page,
-        deduplicated only by the one-page buffer, as a chain walk would be)."""
-        for rid in self._rids_by_key.get(key, ()):
-            _, page_id, slot = rid
-            yield rid, self._heap.read_rid((page_id, slot))
-
-    def scan(self) -> "Iterator[tuple[tuple, tuple]]":
-        for (page_id, slot), row in self._heap.scan():
-            yield ("h", page_id, slot), row
-
     def scan_batches(self, ahead=False):
-        for page_id, rows in self._heap.scan_batches(ahead=ahead):
-            yield ("h", page_id), rows
+        for page_id, slots, rows in self._heap.scan_batches(ahead=ahead):
+            yield ("h", page_id), slots, rows
 
-    def version_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
-        """Single-version batches along the chain (one read per version,
-        as the tuple-at-a-time chain walk meters it)."""
+    def version_batches(self, key, ahead=False):
+        """Follow the per-tuple version chain: one single-version batch
+        and one metered read per version (deduplicated only by the
+        buffer pool, as a chain walk would be)."""
         rids = self._rids_by_key.get(key, [])
         pages = [page_id for _, page_id, _ in rids]
         batches = self._heap._batches(pages, ahead)
-        for (_, _, slot), (_, rows) in zip(rids, batches):
-            yield [rows[slot]]
+        for (_, page_id, slot), (_, _, rows) in zip(rids, batches):
+            yield ("h", page_id), (slot,), [rows[slot]]
 
     def read(self, page_id: int, slot: int) -> tuple:
         return self._heap.read_rid((page_id, slot))
 
 
-class TwoLevelStore:
+class TwoLevelStore(RowView):
     """Primary store (current versions) + history store (the rest)."""
 
     kind = StructureKind.TWO_LEVEL
@@ -308,42 +289,30 @@ class TwoLevelStore:
         """Move a superseded version into the history store."""
         return self._history.append(key, row)
 
-    # -- access paths --------------------------------------------------------
+    # -- reads ---------------------------------------------------------------
+    #
+    # Batch addresses carry the store tag: ``("p", page)`` for the
+    # primary store, ``("h", page)`` for the history store.
+    # *current_only* reads the primary store alone -- Section 6's fast
+    # path for non-temporal queries.
 
-    def lookup_current(self, key) -> "Iterator[tuple[tuple, tuple]]":
-        """Keyed access to current versions only (primary store)."""
-        for (page_id, slot), row in self._primary.lookup(key):
-            yield ("p", page_id, slot), row
+    def rid_at(self, addr, slot: int) -> tuple:
+        store, page_id = addr
+        return (store, page_id, slot)
 
-    def scan_current(self) -> "Iterator[tuple[tuple, tuple]]":
-        """Sequential scan of the primary store only."""
-        for (page_id, slot), row in self._primary.scan():
-            yield ("p", page_id, slot), row
+    def scan_batches(self, ahead=False, current_only=False):
+        """Per-page batches: primary store, then history store."""
+        for page_id, slots, rows in self._primary.scan_batches(ahead=ahead):
+            yield ("p", page_id), slots, rows
+        if not current_only:
+            yield from self._history.scan_batches(ahead)
 
-    def lookup(self, key) -> "Iterator[tuple[tuple, tuple]]":
-        """Version scan: current version(s) then the key's history."""
-        yield from self.lookup_current(key)
-        yield from self._history.versions(key)
-
-    def scan(self) -> "Iterator[tuple[tuple, tuple]]":
-        """Full scan: primary store then history store."""
-        yield from self.scan_current()
-        yield from self._history.scan()
-
-    def scan_batches_current(self, ahead=False):
-        """Per-page batches over the primary store only."""
-        for page_id, rows in self._primary.scan_batches(ahead=ahead):
-            yield ("p", page_id), rows
-
-    def scan_batches(self, ahead=False):
-        """Per-page batches: primary store then history store."""
-        yield from self.scan_batches_current(ahead)
-        yield from self._history.scan_batches(ahead)
-
-    def lookup_batches(self, key, ahead=False) -> "Iterator[list[tuple]]":
-        """Version scan in per-page batches: current then history."""
-        yield from self._primary.lookup_batches(key, ahead)
-        yield from self._history.version_batches(key, ahead)
+    def lookup_batches(self, key, ahead=False, current_only=False):
+        """Version scan in per-page batches: current, then history."""
+        for page_id, slots, rows in self._primary.lookup_batches(key, ahead):
+            yield ("p", page_id), slots, rows
+        if not current_only:
+            yield from self._history.version_batches(key, ahead)
 
     def read_rid(self, rid: tuple) -> tuple:
         store, page_id, slot = rid

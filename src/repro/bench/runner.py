@@ -285,7 +285,6 @@ def _cache_dir() -> pathlib.Path:
 
 def _cache_path(config: WorkloadConfig, max_update_count: int) -> pathlib.Path:
     from repro.engine import planner
-    from repro.tquel import interpreter
 
     blob = json.dumps(
         {
@@ -297,7 +296,6 @@ def _cache_path(config: WorkloadConfig, max_update_count: int) -> pathlib.Path:
             "asof_qualifiers": config.asof_qualifiers,
             "buffers": config.buffers,
             "max_update_count": max_update_count,
-            "batch": bool(interpreter.DEFAULT_BATCH_EXECUTION),
             "optimizer": bool(planner.DEFAULT_OPTIMIZER),
             "source": source_fingerprint(),
         },

@@ -174,7 +174,7 @@ def keyed_cost(
     growth: "float | None" = None,
 ) -> "PathCost | None":
     """Price a keyed probe of the primary structure, or None."""
-    if not relation.can_key_lookup(position):
+    if not relation.keyed_on(position):
         return None
     attribute = relation.schema.fields[position].name
     if getattr(relation, "is_partitioned", False):

@@ -122,26 +122,17 @@ class _SystemRelationAdapter:
         self._heap = heap
         self.is_two_level = False
 
-    def can_key_lookup(self, attribute_position: int) -> bool:
+    def keyed_on(self, attribute_position: int) -> bool:
         return False
 
     def index_for(self, attribute_position: int):
         return None
 
-    def scan_with_rids(
-        self, current_only: bool = False, asof_max: "int | None" = None
-    ):
-        yield from self._heap.scan()
-
     def scan_batches(
         self, current_only: bool = False, asof_max: "int | None" = None,
         ahead: bool = False,
     ):
-        for _, rows in self._heap.scan_batches(ahead=ahead):
-            yield rows
-
-    def lookup_with_rids(self, key, current_only: bool = False):
-        raise ExecutionError("system relations have no keyed access")
+        return self._heap.scan_batches(ahead=ahead)
 
     def lookup_batches(self, key, current_only=False, ahead=False):
         raise ExecutionError("system relations have no keyed access")
@@ -156,7 +147,6 @@ class TemporalDatabase:
         name: str = "tdb",
         clock: "Clock | None" = None,
         buffers_per_relation: int = 1,
-        batch_execution: "bool | None" = None,
         atomic_statements: bool = True,
         optimizer: "bool | None" = None,
     ):
@@ -168,17 +158,6 @@ class TemporalDatabase:
         # the observe-neutrality tests to show the undo path never moves a
         # page count.
         self.atomic_statements = bool(atomic_statements)
-        # Page-at-a-time batch execution (the default).  ``False`` selects
-        # the retained tuple-at-a-time reference path -- same rows, same
-        # page accounting, used by the differential tests.  ``None``
-        # defers to the interpreter module's default (overridable with the
-        # REPRO_BATCH_EXECUTION environment variable, so subprocess
-        # benchmark workers inherit the choice).
-        if batch_execution is None:
-            from repro.tquel import interpreter
-
-            batch_execution = interpreter.DEFAULT_BATCH_EXECUTION
-        self.batch_execution = bool(batch_execution)
         # The cost-based optimizer (repro.engine.planner): per statement
         # variable the planner prices every feasible access path with the
         # paper's Fig. 9 law and picks the cheapest.  ``False`` restores

@@ -314,7 +314,9 @@ def check_relation(relation) -> "list[Problem]":
             storage._history, "_heap"
         ) else storage._history._file
         _check_pages(f"{relation.name}.history", history_file, problems)
-        history_count = sum(1 for _ in storage._history.scan())
+        history_count = sum(
+            len(rows) for _, _, rows in storage._history.scan_batches()
+        )
         if counted + history_count != storage.row_count:
             problems.append(
                 Problem(relation.name, "row-count",

@@ -46,9 +46,8 @@ import os
 import time
 import zlib
 from bisect import bisect_right
-from typing import Iterator
 
-from repro.access.base import StructureKind
+from repro.access.base import RowView, StructureKind
 from repro.access.secondary import pack_tid, unpack_tid
 from repro.catalog.schema import RelationSchema
 from repro.engine.relation import StoredRelation
@@ -83,7 +82,7 @@ def route_range(value, cuts: "list") -> int:
     return bisect_right(cuts, value)
 
 
-class _PartitionStore:
+class _PartitionStore(RowView):
     """The storage facade the mutation/undo layers see.
 
     Implements the :class:`~repro.access.base.AccessMethod` surface over
@@ -141,48 +140,18 @@ class _PartitionStore:
         (pid, page), slot = rid
         return self._parent.children[pid].storage.read_rid((page, slot))
 
-    # -- scans (raw, unpruned; the facade's access paths add pruning) ------
+    # -- reads ------------------------------------------------------------
+    #
+    # Batch addresses are ``(pid, page)``, so the default ``rid_at``
+    # builds the composite rid ``((pid, page), slot)``.
 
-    def scan(self, page_filter=None) -> "Iterator[tuple]":
-        for pid, child in enumerate(self._parent.children):
-            if page_filter is None:
-                composite_filter = None
-            else:
-
-                def composite_filter(page_id, _pid=pid):
-                    return page_filter((_pid, page_id))
-
-            for (page, slot), row in child.storage.scan(
-                page_filter=composite_filter
-            ):
-                yield ((pid, page), slot), row
-
-    def scan_batches(self, page_filter=None, ahead=False):
-        for pid, child in enumerate(self._parent.children):
-            if page_filter is None:
-                composite_filter = None
-            else:
-
-                def composite_filter(page_id, _pid=pid):
-                    return page_filter((_pid, page_id))
-
-            for page_id, rows in child.storage.scan_batches(
-                composite_filter, ahead
-            ):
-                yield (pid, page_id), rows
-
-    def lookup(self, key) -> "Iterator[tuple]":
-        for pid in self._parent.route_key_lookup(key):
-            for (page, slot), row in self._parent.children[
+    def lookup_batches(self, key, ahead=False):
+        parent = self._parent
+        for pid in parent.route_key(key):
+            for page_id, slots, rows in parent.children[
                 pid
-            ].storage.lookup(key):
-                yield ((pid, page), slot), row
-
-    def lookup_batches(self, key, ahead=False) -> "Iterator[list]":
-        for pid in self._parent.route_key_lookup(key):
-            yield from self._parent.children[pid].storage.lookup_batches(
-                key, ahead
-            )
+            ].storage.lookup_batches(key, ahead):
+                yield (pid, page_id), slots, rows
 
     # -- statement undo ----------------------------------------------------
 
@@ -353,7 +322,7 @@ class PartitionedRelation:
     def route_row(self, row: tuple) -> int:
         return self.route_value(row[self._route_position])
 
-    def route_key_lookup(self, key) -> "list[int]":
+    def route_key(self, key) -> "list[int]":
         """Partitions a primary-key lookup must probe.
 
         When the partition attribute *is* the key attribute the routing
@@ -523,38 +492,13 @@ class PartitionedRelation:
         _, page, slot = unpack_tid(packed)
         return self.children[pid].storage.read_rid((page, slot))
 
-    def rid_from_tid(self, tid):
-        pid, packed = tid
-        _, page, slot = unpack_tid(packed)
-        return ((pid, page), slot)
-
     # -- access paths --------------------------------------------------------
 
-    def can_key_lookup(self, attribute_position: int) -> bool:
+    def keyed_on(self, attribute_position: int) -> bool:
         return self._store.keyed_on(attribute_position)
 
     def _is_currentish(self, row: tuple) -> bool:
         return self.children[0]._is_currentish(row)
-
-    def scan_with_rids(
-        self,
-        current_only: bool = False,
-        asof_max: "int | None" = None,
-    ) -> "Iterator[tuple]":
-        """Pruned sequential scan yielding ``(composite rid, row)``.
-
-        Always serial: this is the tuple-at-a-time reference path, and
-        the batch kernel below is what the parallel modes accelerate.
-        """
-        for pid in self.survivors(asof_max):
-            child = self.children[pid]
-            for (page, slot), row in child.scan_with_rids(
-                current_only, asof_max
-            ):
-                yield ((pid, page), slot), row
-
-    def lookup_with_rids(self, key, current_only: bool = False):
-        yield from self._store.lookup(key)
 
     def scan_batches(
         self,
@@ -562,20 +506,26 @@ class PartitionedRelation:
         asof_max: "int | None" = None,
         gather: "str | None" = None,
         ahead: bool = False,
-    ) -> "Iterator[list[tuple]]":
-        """Pruned scan yielding per-page row batches, in partition order.
+    ):
+        """Pruned scan yielding ``((pid, page), slots, rows)`` per page,
+        in partition order.
 
         *gather* overrides the relation's configured mode for this scan
         only -- the planner forces ``"serial"`` when the surviving
-        partitions hold too few pages for fan-out to pay off.
+        partitions hold too few pages for fan-out to pay off.  A fan-out
+        collects every partition before the first batch is consumed, so
+        it runs only where the plan allows run-ahead (*ahead*): when a
+        deeper loop depth reads this relation too, the scan stays serial
+        and page by page.
         """
         survivors = self.survivors(asof_max)
         mode = gather if gather is not None else self.parallel
-        if mode == "serial" or len(survivors) < 2:
+        if mode == "serial" or len(survivors) < 2 or not ahead:
             for pid in survivors:
-                yield from self.children[pid].scan_batches(
+                for page_id, slots, rows in self.children[pid].scan_batches(
                     current_only, asof_max, ahead
-                )
+                ):
+                    yield (pid, page_id), slots, rows
             return
         # Thread fan-out (also the process-mode fallback for scans that
         # return rows; see the module docstring).  Workers install the
@@ -588,14 +538,17 @@ class PartitionedRelation:
         root = tracer.active_span if tracer is not None else None
         traced = root is not None and root.trace_id is not None
 
-        def collect(pid: int) -> "tuple[list[list[tuple]], dict | None]":
+        def collect(pid: int) -> "tuple[list[tuple], dict | None]":
             child = self.children[pid]
             started = time.perf_counter()
             with stats.scoped(scope):
                 # Collected whole before anything else runs: one run.
-                batches = list(
-                    child.scan_batches(current_only, asof_max, ahead=True)
-                )
+                batches = [
+                    ((pid, page_id), slots, rows)
+                    for page_id, slots, rows in child.scan_batches(
+                        current_only, asof_max, ahead=True
+                    )
+                ]
             if not traced:
                 return batches, None
             from repro.observe.span import new_span_id
@@ -646,23 +599,9 @@ class PartitionedRelation:
         for batches, _ in gathered:
             yield from batches
 
-    def lookup_batches(
-        self, key, current_only: bool = False, ahead: bool = False
-    ) -> "Iterator[list[tuple]]":
-        yield from self._store.lookup_batches(key, ahead)
-
-    def seq_scan(self, current_only: bool = False) -> "Iterator[tuple]":
-        for _, row in self.scan_with_rids(current_only):
-            yield row
-
-    def key_lookup(self, key, current_only: bool = False):
-        for _, row in self._store.lookup(key):
-            yield row
-
-    def index_lookup(self, index, value, current_only: bool = False):
-        raise CatalogError(
-            f"{self.name}: partitioned relations have no secondary indexes"
-        )
+    def lookup_batches(self, key, current_only: bool = False,
+                       ahead: bool = False):
+        return self._store.lookup_batches(key, ahead)
 
     # -- scatter-gather executors ------------------------------------------
 

@@ -135,6 +135,24 @@ class Planner:
                 self._decisions.popitem(last=False)
         return choice
 
+    def fixed_choice(self, executor, var: str, bound) -> AccessChoice:
+        """The fixed strategy (optimizer off), unpriced: a keyed probe of
+        the primary structure, else a secondary index, else a scan."""
+        relation = executor._sources[var].relation
+        positions = [
+            position for position, _ in executor._find_key_equality(var, bound)
+        ]
+        for position in positions:
+            if relation.keyed_on(position):
+                return AccessChoice("keyed", position=position)
+        for position in positions:
+            index = relation.index_for(position)
+            if index is not None:
+                return AccessChoice(
+                    "index", position=position, index_name=index.name
+                )
+        return AccessChoice("scan")
+
     def _decide(self, executor, var: str, bound) -> AccessChoice:
         source = executor._sources[var]
         relation = source.relation
@@ -148,7 +166,7 @@ class Planner:
         for position, _ in executor._find_key_equality(var, bound):
             if (
                 position not in seen_keyed
-                and relation.can_key_lookup(position)
+                and relation.keyed_on(position)
             ):
                 seen_keyed.add(position)
                 cost = self._safe(

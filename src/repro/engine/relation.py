@@ -3,11 +3,12 @@
 A :class:`StoredRelation` owns the storage structure a relation currently
 uses (heap after ``create``; hash, ISAM or a two-level store after
 ``modify``) and its secondary indexes, and exposes the uniform access paths
-the query processor consumes:
+the query processor consumes, each a stream of ``(addr, slots, rows)``
+page batches:
 
-* :meth:`seq_scan` -- sequential scan;
-* :meth:`key_lookup` -- keyed access on the primary key;
-* :meth:`index_paths` / :meth:`index_lookup` -- secondary-index access;
+* :meth:`scan_batches` -- sequential scan;
+* :meth:`lookup_batches` -- keyed access on the primary key;
+* :meth:`index_for` / :meth:`index_batches` -- secondary-index access;
 
 each with a ``current_only`` flag that lets enhanced structures (two-level
 store, 2-level index) skip history data for non-temporal queries, as
@@ -15,13 +16,12 @@ Section 6 prescribes.  On conventional structures the flag is a no-op: this
 is precisely the difference the Figure 10 benchmark measures.
 
 Record ids: conventional structures use ``(page, slot)``, the two-level
-store uses ``(store, page, slot)``; :meth:`tid_for` / :meth:`read_tid`
-convert to and from the packed four-byte tids stored in secondary indexes.
+store uses ``(store, page, slot)``; the storage's ``rid_at(addr, slot)``
+builds them from a batch, and :meth:`tid_for` / :meth:`read_tid` convert
+to and from the packed four-byte tids stored in secondary indexes.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.access.base import StructureKind
 from repro.access.btree import BTreeFile
@@ -263,7 +263,7 @@ class StoredRelation:
         key_position = self.key_position
         current_entries = []
         history_entries = []
-        for rid, row in self._iter_with_rids():
+        for rid, row in self._storage.scan():
             tid = self.tid_for(rid)
             tuple_key = (
                 row[key_position] if key_position is not None else tid
@@ -368,9 +368,6 @@ class StoredRelation:
 
     # -- record addressing ----------------------------------------------------------
 
-    def _iter_with_rids(self) -> "Iterator[tuple]":
-        yield from self._storage.scan()
-
     def tid_for(self, rid) -> int:
         """Pack a record id into the four-byte tid stored in indexes."""
         if self.is_two_level:
@@ -379,129 +376,69 @@ class StoredRelation:
         page, slot = rid
         return pack_tid(page, slot, history=False)
 
-    def read_tid(self, tid: int) -> tuple:
-        """Fetch the record a tid points at (metered)."""
+    def _tid_address(self, tid: int) -> "tuple[object, int]":
+        """The batch address and slot a packed tid denotes."""
         history, page, slot = unpack_tid(tid)
         if self.is_two_level:
-            return self._storage.read_rid(("h" if history else "p", page, slot))
-        return self._storage.read_rid((page, slot))
+            return ("h" if history else "p", page), slot
+        return page, slot
+
+    def read_tid(self, tid: int) -> tuple:
+        """Fetch the record a tid points at (metered)."""
+        storage = self._storage
+        return storage.read_rid(storage.rid_at(*self._tid_address(tid)))
 
     # -- access paths -------------------------------------------------------------
 
-    def can_key_lookup(self, attribute_position: int) -> bool:
+    def keyed_on(self, attribute_position: int) -> bool:
         """Whether equality on this attribute can use the primary structure."""
         return self._storage.keyed_on(attribute_position)
-
-    def scan_with_rids(
-        self,
-        current_only: bool = False,
-        asof_max: "int | None" = None,
-    ) -> "Iterator[tuple]":
-        """Sequential scan yielding ``(rid, row)`` pairs.
-
-        With an active zone map, *asof_max* (the last chronon the query's
-        as-of clause can see) skips pages whose versions were all recorded
-        later -- for free, like an ISAM directory skip.
-        """
-        if self.is_two_level and current_only:
-            yield from self._storage.scan_current()
-            return
-        if (
-            asof_max is not None
-            and self.zone_map is not None
-            and not self.is_two_level
-        ):
-            zone_map = self.zone_map
-
-            def visible(page_id, _map=zone_map, _max=asof_max):
-                # Pages without an entry hold no versions at all.
-                earliest = _map.get(page_id)
-                return earliest is not None and earliest <= _max
-
-            yield from self._storage.scan(page_filter=visible)
-            return
-        yield from self._storage.scan()
-
-    def lookup_with_rids(self, key, current_only: bool = False):
-        """Keyed access yielding ``(rid, row)`` pairs."""
-        if self.is_two_level and current_only:
-            yield from self._storage.lookup_current(key)
-        else:
-            yield from self._storage.lookup(key)
-
-    # -- batch access paths (page-at-a-time execution kernel) ----------------
 
     def scan_batches(
         self,
         current_only: bool = False,
         asof_max: "int | None" = None,
         ahead: bool = False,
-    ) -> "Iterator[list[tuple]]":
-        """Sequential scan yielding per-page row batches.
+    ):
+        """Sequential scan yielding ``(addr, slots, rows)`` per page.
 
-        Reads the same pages in the same order as :meth:`scan_with_rids`
-        (including zone-map skips); each batch is the decoded rows of one
-        page, yielded before the next page is fetched -- or, with
-        *ahead*, after the whole range was fetched as one run.
+        Each batch is the decoded rows of one page, yielded before the
+        next page is fetched -- or, with *ahead*, after the whole range
+        was fetched as one run.  With an active zone map, *asof_max* (the
+        last chronon the query's as-of clause can see) skips pages whose
+        versions were all recorded later -- for free, like an ISAM
+        directory skip.
         """
-        if self.is_two_level and current_only:
-            for _, rows in self._storage.scan_batches_current(ahead):
-                yield rows
-            return
-        if (
-            asof_max is not None
-            and self.zone_map is not None
-            and not self.is_two_level
-        ):
-            zone_map = self.zone_map
-
-            def visible(page_id, _map=zone_map, _max=asof_max):
-                earliest = _map.get(page_id)
-                return earliest is not None and earliest <= _max
-
-            for _, rows in self._storage.scan_batches(visible, ahead):
-                yield rows
-            return
-        for _, rows in self._storage.scan_batches(ahead=ahead):
-            yield rows
-
-    def lookup_batches(
-        self, key, current_only: bool = False, ahead: bool = False
-    ) -> "Iterator[list[tuple]]":
-        """Keyed access yielding per-page batches of matching rows."""
-        if self.is_two_level and current_only:
-            yield from self._storage.primary.lookup_batches(key, ahead)
-        else:
-            yield from self._storage.lookup_batches(key, ahead)
-
-    def rid_from_tid(self, tid: int):
-        """The native record id a packed tid denotes."""
-        history, page, slot = unpack_tid(tid)
         if self.is_two_level:
-            return ("h" if history else "p", page, slot)
-        return (page, slot)
+            return self._storage.scan_batches(ahead, current_only)
+        zone_map = self.zone_map
+        if asof_max is None or zone_map is None:
+            return self._storage.scan_batches(ahead=ahead)
 
-    def seq_scan(self, current_only: bool = False) -> "Iterator[tuple]":
-        """Yield rows sequentially; two-level stores may skip history."""
-        if self.is_two_level and current_only:
-            for _, row in self._storage.scan_current():
-                yield row
-        else:
-            for _, row in self._storage.scan():
-                yield row
+        def visible(page_id):
+            # Pages without an entry hold no versions at all.
+            earliest = zone_map.get(page_id)
+            return earliest is not None and earliest <= asof_max
 
-    def key_lookup(self, key, current_only: bool = False) -> "Iterator[tuple]":
-        """Yield rows whose primary key equals *key*."""
-        if self.is_two_level and current_only:
-            source = self._storage.lookup_current(key)
-        else:
-            source = self._storage.lookup(key)
-        for _, row in source:
-            yield row
+        return self._storage.scan_batches(visible, ahead)
 
-    def index_lookup(
-        self, index: SecondaryIndex, value, current_only: bool = False
-    ) -> "Iterator[tuple]":
-        """Yield rows via a secondary index (index pages + data pages)."""
+    def lookup_batches(self, key, current_only: bool = False,
+                       ahead: bool = False):
+        """Keyed access yielding per-page batches of matching rows."""
+        if self.is_two_level:
+            return self._storage.lookup_batches(key, ahead, current_only)
+        return self._storage.lookup_batches(key, ahead)
+
+    def index_batches(self, index: SecondaryIndex, value,
+                      current_only: bool = False):
+        """Secondary-index probes as one-row batches: each tid resolves to
+        one scattered data-page read, so there is nothing to batch.  A tid
+        the index lists more than once is read once."""
+        storage = self._storage
+        seen = set()
         for tid in index.search(value, current_only=current_only):
-            yield self.read_tid(tid)
+            if tid in seen:
+                continue
+            seen.add(tid)
+            addr, slot = self._tid_address(tid)
+            yield addr, (slot,), [storage.read_rid(storage.rid_at(addr, slot))]

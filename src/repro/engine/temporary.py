@@ -46,15 +46,9 @@ class TemporaryRelation:
         """Flush buffered pages so output writes are accounted."""
         self._heap.file.flush()
 
-    def scan(self):
-        """Yield stored rows (metered reads)."""
-        for _, row in self._heap.scan():
-            yield row
-
     def scan_batches(self, ahead: bool = False):
-        """Yield per-page row batches (same metered reads as scan)."""
-        for _, rows in self._heap.scan_batches(ahead=ahead):
-            yield rows
+        """Yield ``(page, slots, rows)`` per page (metered reads)."""
+        return self._heap.scan_batches(ahead=ahead)
 
     def drop(self) -> None:
         self._pool.drop_file(self.name)

@@ -10,7 +10,7 @@ The specs are compiled, once per task, into a single generated function
 whose inner loop is ``struct.iter_unpack`` feeding a list comprehension
 with the filter conditions inlined as bytecode.  There is no per-row
 Python function call anywhere on the path, which is where the speedup
-over the tuple-at-a-time interpreter comes from (the coordinator and
+over the interpreter's per-row closures comes from (the coordinator and
 its workers also overlap pickling with scanning, but on one core the
 kernel itself is the win).
 

@@ -2,8 +2,8 @@
 
 ``repro.sim`` pits the real engine against an independent in-memory
 oracle (:mod:`repro.sim.oracle`) on seeded random TQuel workloads
-(:mod:`repro.sim.generator`), across the access-method x batch x atomic
-config matrix (:mod:`repro.sim.harness`).  Diverging workloads are
+(:mod:`repro.sim.generator`), across the access-method x atomic config
+matrix (:mod:`repro.sim.harness`).  Diverging workloads are
 minimized by :mod:`repro.sim.shrink` and written as runnable ``.tquel``
 case files (:mod:`repro.sim.corpus`).  ``python -m repro.sim`` drives it
 all from the command line.

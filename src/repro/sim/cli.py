@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quick", "full"),
         default="quick",
         help="config matrix: quick = one config per access method, "
-        "full = all structure x batch x atomic cells",
+        "full = all structure x atomic cells",
     )
     parser.add_argument(
         "--optimizer",

@@ -11,7 +11,6 @@ replay needs:
     -- clock_start: 320716800
     -- clock_tick: 3600
     -- structure: btree
-    -- batch: on
     -- atomic: off
     -- optimizer: on
 
@@ -52,7 +51,6 @@ def write_case(path, report: RunReport) -> Path:
         f"-- clock_start: {workload.clock_start}",
         f"-- clock_tick: {workload.clock_tick}",
         f"-- structure: {config.structure}",
-        f"-- batch: {'on' if config.batch else 'off'}",
         f"-- atomic: {'on' if config.atomic else 'off'}",
         f"-- optimizer: {'on' if config.optimizer else 'off'}",
     ]
@@ -91,7 +89,6 @@ def read_case(path) -> "tuple[Workload, Config, dict]":
     )
     config = Config(
         structure=meta.get("structure", "heap"),
-        batch=_FLAGS.get(meta.get("batch", "on"), True),
         atomic=_FLAGS.get(meta.get("atomic", "on"), True),
         optimizer=_FLAGS.get(meta.get("optimizer", "on"), True),
     )

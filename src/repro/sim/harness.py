@@ -49,7 +49,6 @@ class Config:
     """One cell of the harness matrix."""
 
     structure: str = "heap"
-    batch: bool = True
     atomic: bool = True
     optimizer: bool = True
 
@@ -60,26 +59,24 @@ class Config:
         suffix = "" if self.optimizer else "/optimizer=off"
         return (
             f"{self.structure}/"
-            f"batch={'on' if self.batch else 'off'}/"
             f"atomic={'on' if self.atomic else 'off'}{suffix}"
         )
 
 
 CONFIG_MATRIX = tuple(
-    Config(structure=s, batch=b, atomic=a)
+    Config(structure=s, atomic=a)
     for s in STRUCTURES
-    for b in (True, False)
     for a in (True, False)
 )
 
-# One config per structure, alternating the toggles: the quick matrix
-# still covers all five access methods and both values of each flag.
+# One config per structure, alternating atomicity: the quick matrix
+# still covers all five access methods and both values of the flag.
 QUICK_MATRIX = (
-    Config("heap", batch=True, atomic=True),
-    Config("hash", batch=True, atomic=False),
-    Config("isam", batch=False, atomic=True),
-    Config("btree", batch=False, atomic=False),
-    Config("twolevel", batch=True, atomic=True),
+    Config("heap", atomic=True),
+    Config("hash", atomic=False),
+    Config("isam", atomic=True),
+    Config("btree", atomic=False),
+    Config("twolevel", atomic=True),
 )
 
 
@@ -237,7 +234,6 @@ def run_workload(
         database=TemporalDatabase(
             "sim",
             clock=Clock(start=workload.clock_start, tick=workload.clock_tick),
-            batch_execution=config.batch,
             atomic_statements=config.atomic,
             optimizer=config.optimizer,
         )

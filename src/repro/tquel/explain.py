@@ -62,9 +62,7 @@ def _partition_suffix(executor, relation, source, gather=None) -> str:
     )
 
 
-def _access_description(
-    executor: Executor, var: str, bound: set, choice=None
-) -> str:
+def _access_description(executor: Executor, var: str, choice) -> str:
     source = executor._sources[var]
     if source.temp is not None:
         return f"scan temporary({var})"
@@ -80,39 +78,20 @@ def _access_description(
         suffix = " [zone map prunes post-as-of pages]"
     if getattr(relation, "is_partitioned", False):
         suffix += _partition_suffix(
-            executor, relation, source,
-            gather=choice.gather if choice is not None else None,
+            executor, relation, source, gather=choice.gather
         )
-    keyed_position = None
-    if choice is not None:
-        # The planner decided; render the path it actually chose.
-        if choice.kind == "keyed":
-            keyed_position = choice.position
-        elif choice.kind == "index":
-            index = relation.index_for(choice.position)
-            if index is not None:
-                return _index_description(index, source)
-            keyed_position = None
-        else:
-            return f"sequential scan{suffix}"
-    else:
-        for position, _ in executor._find_key_equality(var, bound):
-            if relation.can_key_lookup(position):
-                keyed_position = position
-                break
-    if keyed_position is not None:
-        attribute = relation.schema.fields[keyed_position].name
+    if choice.kind == "keyed":
+        attribute = relation.schema.fields[choice.position].name
         structure = (
             relation.storage.primary.kind.value
             if getattr(relation, "is_two_level", False)
             else relation.structure.value
         )
         return f"keyed {structure} access on {attribute}{suffix}"
-    if choice is None:
-        for position, _ in executor._find_key_equality(var, bound):
-            index = relation.index_for(position)
-            if index is not None:
-                return _index_description(index, source)
+    if choice.kind == "index":
+        index = relation.index_for(choice.position)
+        if index is not None:
+            return _index_description(index, source)
     return f"sequential scan{suffix}"
 
 
@@ -181,8 +160,7 @@ def explain(db, text: str, analyze: bool = False) -> str:
 
     def choose(var, bound):
         choice = executor.access_choice(var, bound)
-        if choice is not None:
-            choices.append((var, choice))
+        choices.append((var, choice))
         return choice
 
     order = list(analysis.var_order)
@@ -195,9 +173,7 @@ def explain(db, text: str, analyze: bool = False) -> str:
                     for conjunct in executor._conjuncts
                     if conjunct.vars == frozenset((var,))
                 ]
-                how = _access_description(
-                    executor, var, set(), choose(var, set())
-                )
+                how = _access_description(executor, var, choose(var, set()))
                 lines.append(
                     f"  detach {var} "
                     f"({source.relation.schema.name}) into a temporary "
@@ -220,9 +196,7 @@ def explain(db, text: str, analyze: bool = False) -> str:
         if isinstance(source_temp, _PlannedTemporary):
             how = "scan"
         else:
-            how = _access_description(
-                executor, var, bound, choose(var, bound)
-            )
+            how = _access_description(executor, var, choose(var, bound))
         lines.append(
             f"  {label} depth {depth}: {var} ({relation_name}) via {how}"
         )

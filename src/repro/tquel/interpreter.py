@@ -1,5 +1,5 @@
-"""Query execution: Ingres-style decomposition and tuple-at-a-time
-interpretation.
+"""Query execution: Ingres-style decomposition over a page-at-a-time
+nested-loop join.
 
 The prototype "still us[es] the conventional access methods and query
 processing algorithms" of Ingres (Section 4); the benchmark's analysis
@@ -15,6 +15,12 @@ processing algorithms" of Ingres (Section 4); the benchmark's analysis
   time, innermost access again chosen by the one-variable processor (Q09
   "then performs one hashed access for each ... tuple in the temporary
   relation").
+
+Every statement reads rows the same way: each loop depth pulls
+``(addr, slots, rows)`` page batches from its access path and filters a
+whole batch with one fused predicate.  ``replace`` and ``delete`` select
+their targets on that same join; only their target depth turns
+``(addr, slot)`` into record ids.
 
 Temporal clause handling follows TQuel:
 
@@ -34,7 +40,6 @@ current index only.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.catalog.schema import IMPLICIT_ATTRIBUTES
@@ -56,11 +61,6 @@ from repro.tquel.compile import (
     make_asof_filter,
 )
 from repro.tquel.semantics import Analysis, Conjunct
-
-# Page-at-a-time batch execution is the default; REPRO_BATCH_EXECUTION=0
-# falls back to tuple-at-a-time interpretation everywhere (the reference
-# path the differential tests compare against).
-DEFAULT_BATCH_EXECUTION = os.environ.get("REPRO_BATCH_EXECUTION", "1") != "0"
 
 
 @dataclass
@@ -93,22 +93,14 @@ class Executor:
         self._temps = []
         self._conjuncts: "list[Conjunct]" = analysis.where + analysis.when
         self._consumed: "set[int]" = set()
-        self._batch = bool(
-            getattr(database, "batch_execution", DEFAULT_BATCH_EXECUTION)
-        )
-        # Cost-based access-path selection (repro.engine.planner): when
-        # the database runs with the optimizer on, _candidates defers the
-        # keyed/index/scan decision to the planner; plan_key (statement
-        # fingerprint + range table + catalog/stats epochs) keys its
-        # decision cache.  None leaves the fixed strategy in place.
+        # Access-path selection (repro.engine.planner): with the optimizer
+        # on, the planner prices the keyed/index/scan paths and plan_key
+        # (statement fingerprint + range table + catalog/stats epochs)
+        # keys its decision cache; with it off, the planner's fixed
+        # strategy decides.
         self._plan_key = plan_key
-        planner = getattr(database, "planner", None)
-        self._planner = (
-            planner
-            if planner is not None
-            and getattr(database, "optimizer_enabled", False)
-            else None
-        )
+        self._planner = database.planner
+        self._optimize = database.optimizer_enabled
         self._asof_period = self._resolve_asof()
         for name, info in analysis.vars.items():
             self._sources[name] = _VarSource(
@@ -237,10 +229,6 @@ class Executor:
                 self._consumed.add(index)
         return filters
 
-    def _pending_filters(self, var: str, bound: "set[str]"):
-        """The variable's pending conjuncts fused into ``fn(row) -> bool``."""
-        return conjunction(self._pending_filter_list(var, bound))
-
     # -- access-path selection --------------------------------------------------------
 
     def _find_key_equality(self, var: str, bound: "set[str]"):
@@ -288,15 +276,15 @@ class Executor:
         return None
 
     def access_choice(self, var: str, bound: "set[str]"):
-        """The planner's decision for *var*, or None when the optimizer
-        is off or the variable reads a temporary (always scanned)."""
-        if self._planner is None or self._sources[var].temp is not None:
-            return None
-        return self._planner.choose(self, var, bound, self._plan_key)
+        """The access path for *var*: the planner's priced pick with the
+        optimizer on, its fixed keyed/index/scan strategy with it off."""
+        if self._optimize:
+            return self._planner.choose(self, var, bound, self._plan_key)
+        return self._planner.fixed_choice(self, var, bound)
 
     def _planned_source(self, choice, var: str, bound: "set[str]",
-                        batch: bool, ahead: bool = False):
-        """Build the row source the planner chose.
+                        ahead: bool):
+        """Build the row source *choice* names.
 
         Key-equality value closures are re-resolved here (decisions are
         cached across executions; closures are not).  Falls through to a
@@ -308,15 +296,10 @@ class Executor:
         current_only = source.current_only
         if choice.kind == "keyed":
             for position, value_fn in self._find_key_equality(var, bound):
-                if position != choice.position:
-                    continue
-                if batch:
+                if position == choice.position:
                     return lambda vf=value_fn: relation.lookup_batches(
                         vf(None), current_only, ahead
                     )
-                return lambda vf=value_fn: _lookup_with_rids(
-                    relation, vf(None), current_only
-                )
         elif choice.kind == "index":
             for position, value_fn in self._find_key_equality(var, bound):
                 if position != choice.position:
@@ -324,94 +307,39 @@ class Executor:
                 index = relation.index_for(position)
                 if index is None or index.name != choice.index_name:
                     continue
-                if batch:
-                    return lambda idx=index, vf=value_fn: _index_batches(
-                        relation, idx, vf(None), current_only
-                    )
-                return lambda idx=index, vf=value_fn: _index_with_rids(
-                    relation, idx, vf(None), current_only
+                return lambda idx=index, vf=value_fn: relation.index_batches(
+                    idx, vf(None), current_only
                 )
+        # A zone map may skip pages recorded after the as-of event.
         asof_max = self._scan_asof_max(var)
-        if batch:
-            if choice.gather is not None and getattr(
-                relation, "is_partitioned", False
-            ):
-                return lambda: relation.scan_batches(
-                    current_only=current_only, asof_max=asof_max,
-                    gather=choice.gather, ahead=ahead,
-                )
+        if choice.gather is not None and getattr(
+            relation, "is_partitioned", False
+        ):
             return lambda: relation.scan_batches(
-                current_only, asof_max, ahead=ahead
+                current_only=current_only, asof_max=asof_max,
+                gather=choice.gather, ahead=ahead,
             )
-        return lambda: _scan_with_rids(relation, current_only, asof_max)
-
-    def _candidates(self, var: str, bound: "set[str]"):
-        """Build the row source for *var*: a zero-argument callable yielding
-        ``(rid, row)`` pairs, re-evaluated for each outer binding."""
-        source = self._sources[var]
-        if source.temp is not None:
-            temp = source.temp
-            return lambda: _with_rids(temp.scan())
-        choice = self.access_choice(var, bound)
-        if choice is not None:
-            return self._planned_source(choice, var, bound, batch=False)
-        relation = source.relation
-        current_only = source.current_only
-        # 1. keyed access on the primary structure
-        for position, value_fn in self._find_key_equality(var, bound):
-            if relation.can_key_lookup(position):
-                return lambda vf=value_fn: _lookup_with_rids(
-                    relation, vf(None), current_only
-                )
-        # 2. secondary-index access
-        for position, value_fn in self._find_key_equality(var, bound):
-            index = relation.index_for(position)
-            if index is not None:
-                return lambda idx=index, vf=value_fn: _index_with_rids(
-                    relation, idx, vf(None), current_only
-                )
-        # 3. sequential scan (a zone map may skip pages recorded after
-        # the as-of event)
-        asof_max = self._scan_asof_max(var)
-        return lambda: _scan_with_rids(relation, current_only, asof_max)
+        return lambda: relation.scan_batches(
+            current_only, asof_max, ahead=ahead
+        )
 
     def _batch_candidates(self, var: str, bound: "set[str]", ahead: bool):
-        """Batched row source for *var*: a zero-argument callable yielding
-        per-page row batches.
+        """The row source for *var*: a zero-argument callable yielding
+        ``(addr, slots, rows)`` page batches, re-evaluated for each outer
+        binding.
 
-        Chooses the same access path as :meth:`_candidates` and reads the
-        same pages in the same order.  With *ahead* (nothing deeper in the
-        plan reads what *var* reads) a scan range or chain is fetched as
-        one metered run; without it each batch is yielded before the next
-        page is fetched, so interleaved accounting (self-joins over one
-        file) matches the tuple-at-a-time path exactly.
+        With *ahead* (nothing deeper in the plan reads what *var* reads)
+        a scan range or chain is fetched as one metered run; without it
+        each batch is yielded before the next page is fetched, so
+        interleaved accounting (self-joins over one file) is the
+        page-by-page sequence.
         """
         source = self._sources[var]
         if source.temp is not None:
             temp = source.temp
             return lambda: temp.scan_batches(ahead)
-        choice = self.access_choice(var, bound)
-        if choice is not None:
-            return self._planned_source(choice, var, bound, True, ahead)
-        relation = source.relation
-        current_only = source.current_only
-        # 1. keyed access on the primary structure
-        for position, value_fn in self._find_key_equality(var, bound):
-            if relation.can_key_lookup(position):
-                return lambda vf=value_fn: relation.lookup_batches(
-                    vf(None), current_only, ahead
-                )
-        # 2. secondary-index access (point reads stay single-row batches)
-        for position, value_fn in self._find_key_equality(var, bound):
-            index = relation.index_for(position)
-            if index is not None:
-                return lambda idx=index, vf=value_fn: _index_batches(
-                    relation, idx, vf(None), current_only
-                )
-        # 3. sequential scan (zone map applies as in _candidates)
-        asof_max = self._scan_asof_max(var)
-        return lambda: relation.scan_batches(
-            current_only, asof_max, ahead=ahead
+        return self._planned_source(
+            self.access_choice(var, bound), var, bound, ahead
         )
 
     # -- detachment ----------------------------------------------------------------------
@@ -428,24 +356,17 @@ class Executor:
         ]
         positions = [schema.position(spec.name) for spec in fields]
         temp = self._db.temporaries.create(fields)
-        if self._batch:
-            predicate = batch_conjunction(
-                self._pending_filter_list(var, bound=set())
-            )
-            append = temp.append
-            for batch in self._batch_candidates(var, set(), ahead=True)():
-                for row in predicate(batch):
-                    append(tuple(row[i] for i in positions))
-        else:
-            predicate = self._pending_filters(var, bound=set())
-            produce = self._candidates(var, bound=set())
-            for _, row in produce():
-                if predicate(row):
-                    temp.append(tuple(row[i] for i in positions))
+        self._temps.append(temp)
+        predicate = batch_conjunction(
+            self._pending_filter_list(var, bound=set())
+        )
+        append = temp.append
+        for _, _, rows in self._batch_candidates(var, set(), ahead=True)():
+            for row in predicate(rows):
+                append(tuple(row[i] for i in positions))
         temp.finish_writing()
         source.temp = temp
         source.layout = self._layouts[var] = VarLayout.for_fields(fields)
-        self._temps.append(temp)
 
     def _needed_attributes(self, var: str) -> "set[str]":
         """Attributes of *var* referenced outside its detached conjuncts."""
@@ -467,6 +388,23 @@ class Executor:
     # -- retrieve -----------------------------------------------------------------------------
 
     def run_retrieve(self) -> Result:
+        """Run a retrieve; its detachment temporaries are dropped however
+        it ends."""
+        try:
+            columns, rows, valid_mode = self._retrieve_rows()
+        finally:
+            for temp in self._temps:
+                temp.drop()
+        into = self._analysis.statement.into
+        if into is not None:
+            count = self._store_into(into, columns, rows, valid_mode)
+            return Result(kind="retrieve into", count=count, columns=columns)
+        return Result(
+            kind="retrieve", columns=columns, rows=rows, count=len(rows)
+        )
+
+    def _retrieve_rows(self) -> "tuple[list[str], list[tuple], str]":
+        """The result's columns, rows and valid-time mode."""
         analysis = self._analysis
         stmt = analysis.statement
         order = list(analysis.var_order)
@@ -488,7 +426,7 @@ class Executor:
         columns = [name for name, _, __ in analysis.targets]
 
         if analysis.has_aggregates:
-            return self._run_aggregates(order, layouts, columns)
+            return columns, self._run_aggregates(order, layouts), "none"
 
         target_fns = [
             compile_scalar(expr, None, layouts, self._bindings)
@@ -535,18 +473,9 @@ class Executor:
             from repro.temporal.coalesce import coalesce_rows
 
             rows = coalesce_rows(rows, len(analysis.targets))
+        return columns, rows, valid_mode
 
-        for temp in self._temps:
-            temp.drop()
-
-        if stmt.into is not None:
-            count = self._store_into(stmt.into, columns, rows, valid_mode)
-            return Result(kind="retrieve into", count=count, columns=columns)
-        return Result(
-            kind="retrieve", columns=columns, rows=rows, count=len(rows)
-        )
-
-    def _run_aggregates(self, order, layouts, columns) -> Result:
+    def _run_aggregates(self, order, layouts) -> "list[tuple]":
         """Aggregates: fold the qualifying tuples into one row, or one row
         per group when the aggregates carry a by-list.
 
@@ -563,20 +492,7 @@ class Executor:
         if not by_list:
             kernel = self._kernel_aggregate(order)
             if kernel is not None:
-                for temp in self._temps:
-                    temp.drop()
-                rows = [tuple(kernel)]
-                stmt = analysis.statement
-                if stmt.into is not None:
-                    count = self._store_into(
-                        stmt.into, columns, rows, "none"
-                    )
-                    return Result(
-                        kind="retrieve into", count=count, columns=columns
-                    )
-                return Result(
-                    kind="retrieve", columns=columns, rows=rows, count=1
-                )
+                return [tuple(kernel)]
 
         group_fns = [
             compile_scalar(expr, None, layouts, self._bindings)
@@ -609,8 +525,6 @@ class Executor:
                 state.append(fn(None))
 
         self._execute_join(order, emit)
-        for temp in self._temps:
-            temp.drop()
 
         if not by_list and not groups:
             groups[()] = [[] for _ in operand_fns]
@@ -624,14 +538,7 @@ class Executor:
                     continue
                 row.append(_fold_aggregate(agg, states[slot]))
             rows.append(tuple(row))
-
-        stmt = analysis.statement
-        if stmt.into is not None:
-            count = self._store_into(stmt.into, columns, rows, "none")
-            return Result(kind="retrieve into", count=count, columns=columns)
-        return Result(
-            kind="retrieve", columns=columns, rows=rows, count=len(rows)
-        )
+        return rows
 
     # Integer-valued attribute types whose sums are order-independent
     # (float accumulation order differs between serial and scattered
@@ -661,7 +568,7 @@ class Executor:
         accounting, no per-row interpretation.  Returns the final target
         values, or None when the statement must run on the interpreter.
         """
-        if len(order) != 1 or not self._batch:
+        if len(order) != 1:
             return None
         var = order[0]
         source = self._sources[var]
@@ -676,7 +583,7 @@ class Executor:
             # Only bail when the interpreter would actually take a keyed
             # path instead of this full scan.
             if (
-                relation.can_key_lookup(position)
+                relation.keyed_on(position)
                 or relation.index_for(position) is not None
             ):
                 return None
@@ -776,27 +683,14 @@ class Executor:
             raise ExecutionError(f"{func}() over an empty result")
         return partial
 
-    def _build_plan(self, order: "list[str]") -> list:
-        """Per-depth (variable, row source, filter) triples, compiled once.
+    def _build_batch_plan(self, order: "list[str]") -> list:
+        """Per-depth (variable, row source, filter list), compiled once.
 
         Filters and access paths are fixed per loop depth; only the value
-        closures read the changing outer bindings.
-        """
-        plan = []
-        for depth, var in enumerate(order):
-            bound = set(order[:depth])
-            produce = self._candidates(var, bound)
-            predicate = self._pending_filters(var, bound)
-            plan.append((var, produce, predicate))
-        return plan
-
-    def _build_batch_plan(self, order: "list[str]") -> list:
-        """Like :meth:`_build_plan`, with batched sources and each depth's
-        conjuncts fused into one per-batch predicate.
-
-        A depth may fetch its pages as runs only when no deeper depth
-        reads the same relation (or temporary): a deeper read of that
-        file between two of its batches would see a different pool.
+        closures read the changing outer bindings.  A depth may fetch its
+        pages as runs only when no deeper depth reads the same relation
+        (or temporary): a deeper read of that file between two of its
+        batches would see a different pool.
         """
         reads = [
             source.temp if source.temp is not None else source.relation
@@ -809,44 +703,19 @@ class Executor:
                 deeper is not reads[depth] for deeper in reads[depth + 1:]
             )
             produce = self._batch_candidates(var, bound, ahead)
-            predicate = batch_conjunction(
-                self._pending_filter_list(var, bound)
-            )
-            plan.append((var, produce, predicate))
+            plan.append((var, produce, self._pending_filter_list(var, bound)))
         return plan
 
     def _execute_join(self, order: "list[str]", emit) -> None:
-        """Run the nested-loop join over *order*, batched when enabled."""
-        if self._batch:
-            self._join_batches(self._build_batch_plan(order), 0, emit)
-        else:
-            self._join(self._build_plan(order), 0, emit)
-
-    def _join(self, plan, depth, emit) -> None:
-        if depth == len(plan):
-            emit()
-            return
-        var, produce, predicate = plan[depth]
-        bindings = self._bindings
-        if depth == len(plan) - 1:
-            for _, row in produce():
-                if predicate(row):
-                    bindings[var] = row
-                    emit()
-        else:
-            for _, row in produce():
-                if predicate(row):
-                    bindings[var] = row
-                    self._join(plan, depth + 1, emit)
-        bindings.pop(var, None)
+        """Run the nested-loop join over *order*."""
+        self._join_batches(_fused(self._build_batch_plan(order)), 0, emit)
 
     def _join_batches(self, plan, depth, emit) -> None:
         """Batched nested loops: each depth filters a whole page batch in
         one predicate call, then binds the survivors one by one.
 
         The page backing a batch is read when the batch is produced --
-        before any inner-depth reads for its rows -- which is exactly when
-        the tuple-at-a-time loop reads it (on the page's first row).
+        before any inner-depth reads for its rows.
         """
         if depth == len(plan):
             emit()
@@ -854,13 +723,13 @@ class Executor:
         var, produce, predicate = plan[depth]
         bindings = self._bindings
         if depth == len(plan) - 1:
-            for batch in produce():
-                for row in predicate(batch):
+            for _, _, rows in produce():
+                for row in predicate(rows):
                     bindings[var] = row
                     emit()
         else:
-            for batch in produce():
-                for row in predicate(batch):
+            for _, _, rows in produce():
+                for row in predicate(rows):
                     bindings[var] = row
                     self._join_batches(plan, depth + 1, emit)
         bindings.pop(var, None)
@@ -887,7 +756,7 @@ class Executor:
             others = {name for name in order if name != var}
             source = self._sources[var]
             for position, _ in self._find_key_equality(var, others):
-                if source.relation.can_key_lookup(position):
+                if source.relation.keyed_on(position):
                     return False
         return True
 
@@ -927,7 +796,7 @@ class Executor:
         if source.temp is not None:
             return False
         for position, _ in self._find_key_equality(var, bound - {var}):
-            if source.relation.can_key_lookup(position):
+            if source.relation.keyed_on(position):
                 return True
             if source.relation.index_for(position) is not None:
                 return True
@@ -1017,46 +886,41 @@ class Executor:
     # -- updates --------------------------------------------------------------------------------
 
     def _collect_targets(self, target_var: str):
-        """Join all variables, collecting matching (rid, row) pairs of the
-        update's target variable (first match per rid wins)."""
+        """Join all variables with *target_var* outermost, collecting
+        ``(rid, row, bindings)`` per matching target record (first match
+        per rid wins).
+
+        The target depth is the only one that derives record ids: its
+        matching ``(addr, slot)`` pairs go through the storage's
+        ``rid_at``; the inner depths run the plain batch join.
+        """
         analysis = self._analysis
-        order = [target_var] + [
-            name for name in analysis.var_order if name != target_var
-        ]
+        names = analysis.var_order
+        order = [target_var] + [name for name in names if name != target_var]
+        (_, produce, filters), *inner = self._build_batch_plan(order)
+        check = conjunction(filters)
+        inner = _fused(inner)
+        rid_at = self._sources[target_var].relation.storage.rid_at
+        bindings = self._bindings
         collected: "dict[object, tuple]" = {}
-        current_rid = {}
+        rid = None
 
         def emit():
-            rid = current_rid["value"]
             if rid not in collected:
                 collected[rid] = (
                     rid,
-                    self._bindings[target_var],
-                    {
-                        name: self._bindings[name]
-                        for name in analysis.var_order
-                    },
+                    bindings[target_var],
+                    {name: bindings[name] for name in names},
                 )
 
-        self._join_tracking(
-            self._build_plan(order), 0, emit, target_var, current_rid
-        )
+        for addr, slots, rows in produce():
+            for slot, row in zip(slots, rows):
+                if check(row):
+                    bindings[target_var] = row
+                    rid = rid_at(addr, slot)
+                    self._join_batches(inner, 0, emit)
+        bindings.pop(target_var, None)
         return list(collected.values())
-
-    def _join_tracking(self, plan, depth, emit, target_var, current_rid):
-        if depth == len(plan):
-            emit()
-            return
-        var, produce, predicate = plan[depth]
-        for rid, row in produce():
-            if predicate(row):
-                self._bindings[var] = row
-                if var == target_var:
-                    current_rid["value"] = rid
-                self._join_tracking(
-                    plan, depth + 1, emit, target_var, current_rid
-                )
-        self._bindings.pop(var, None)
 
     def run_delete(self) -> Result:
         stmt = self._analysis.statement
@@ -1285,32 +1149,10 @@ def _attrs_of(node, var: str) -> "set[str]":
     return found
 
 
-def _with_rids(rows):
-    for index, row in enumerate(rows):
-        yield index, row
-
-
-def _scan_with_rids(relation, current_only, asof_max=None):
-    yield from relation.scan_with_rids(
-        current_only=current_only, asof_max=asof_max
-    )
-
-
-def _lookup_with_rids(relation, key, current_only):
-    yield from relation.lookup_with_rids(key, current_only=current_only)
-
-
-def _index_with_rids(relation, index, value, current_only):
-    seen = set()
-    for tid in index.search(value, current_only=current_only):
-        if tid in seen:
-            continue
-        seen.add(tid)
-        yield relation.rid_from_tid(tid), relation.read_tid(tid)
-
-
-def _index_batches(relation, index, value, current_only):
-    """Secondary-index probes as single-row batches (each tid resolves to
-    one scattered data-page read, so there is nothing to batch)."""
-    for _, row in _index_with_rids(relation, index, value, current_only):
-        yield [row]
+def _fused(plan) -> list:
+    """Plan depths with each filter list fused into one per-batch
+    predicate."""
+    return [
+        (var, produce, batch_conjunction(filters))
+        for var, produce, filters in plan
+    ]

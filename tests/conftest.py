@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -76,3 +79,21 @@ def temporal_pair(db):
     db.execute("range of h is th")
     db.execute("range of i is ti")
     return db
+
+
+@contextmanager
+def per_page_reads():
+    """Fetch every run one page at a time, each when its batch is due.
+
+    Inside the block ``BufferedFile.read_run`` becomes a lazy
+    ``read(i)`` per page, so a plan that fetches a run ahead reads its
+    pages at the points a page-by-page walk would: the reference the
+    run-ahead decision is differentially tested against.
+    """
+    from repro.storage.buffer import BufferedFile
+
+    def read_run(self, page_ids):
+        return (self.read(page_id) for page_id in page_ids)
+
+    with mock.patch.object(BufferedFile, "read_run", read_run):
+        yield

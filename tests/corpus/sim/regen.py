@@ -26,13 +26,12 @@ from repro.tquel.parser import parse_statement
 
 HERE = Path(__file__).resolve().parent
 
-# (name, db_type, structure, batch, atomic, statements)
+# (name, db_type, structure, atomic, statements)
 CASES = [
     (
         "01-static-heap-keyprobe",
         "static",
         "heap",
-        True,
         True,
         [
             'create hrel (id = i4, seq = i4, amount = i4)',
@@ -58,7 +57,6 @@ CASES = [
         "02-static-hash-amountprobe",
         "static",
         "hash",
-        True,
         False,
         [
             'create hrel (id = i4, seq = i4, amount = i4)',
@@ -83,7 +81,6 @@ CASES = [
         "03-static-btree-join",
         "static",
         "btree",
-        False,
         True,
         [
             'create hrel (id = i4, seq = i4, amount = i4)',
@@ -106,7 +103,6 @@ CASES = [
         "04-rollback-hash-asof",
         "rollback",
         "hash",
-        True,
         True,
         [
             'create persistent hrel (id = i4, seq = i4, amount = i4)',
@@ -133,7 +129,6 @@ CASES = [
         "rollback",
         "isam",
         False,
-        False,
         [
             'create persistent hrel (id = i4, seq = i4, amount = i4)',
             'modify hrel to isam on id',
@@ -155,7 +150,6 @@ CASES = [
         "06-rollback-twolevel-join",
         "rollback",
         "twolevel",
-        True,
         True,
         [
             'create persistent hrel (id = i4, seq = i4, amount = i4)',
@@ -185,7 +179,6 @@ CASES = [
         "historical",
         "heap",
         True,
-        True,
         [
             'create interval hrel (id = i4, seq = i4, amount = i4)',
             'create event irel (id = i4, seq = i4, amount = i4)',
@@ -210,7 +203,6 @@ CASES = [
         "08-historical-hash-index",
         "historical",
         "hash",
-        False,
         True,
         [
             'create interval hrel (id = i4, seq = i4, amount = i4)',
@@ -241,7 +233,6 @@ CASES = [
         "09-historical-twolevel-join",
         "historical",
         "twolevel",
-        True,
         False,
         [
             'create interval hrel (id = i4, seq = i4, amount = i4)',
@@ -271,7 +262,6 @@ CASES = [
         "temporal",
         "isam",
         True,
-        True,
         [
             'create persistent interval hrel (id = i4, seq = i4, '
             'amount = i4)',
@@ -298,7 +288,6 @@ CASES = [
         "11-temporal-btree-q12",
         "temporal",
         "btree",
-        False,
         True,
         [
             'create persistent interval hrel (id = i4, seq = i4, '
@@ -331,7 +320,6 @@ CASES = [
         "temporal",
         "twolevel",
         True,
-        True,
         [
             'create persistent event hrel (id = i4, seq = i4, '
             'amount = i4)',
@@ -351,7 +339,7 @@ CASES = [
     ),
 ]
 
-# (name, db_type, structure, batch, atomic, optimizer, statements) --
+# (name, db_type, structure, atomic, optimizer, statements) --
 # cases that exercise the cost-based optimizer's decisions (or pin the
 # fixed strategy with optimizer off) on workloads where the two differ.
 OPTIMIZER_CASES = [
@@ -359,7 +347,6 @@ OPTIMIZER_CASES = [
         "13-static-hash-optoff",
         "static",
         "hash",
-        True,
         True,
         False,
         [
@@ -383,7 +370,6 @@ OPTIMIZER_CASES = [
         "isam",
         True,
         True,
-        True,
         [
             'create persistent interval hrel (id = i4, seq = i4, '
             'amount = i4)',
@@ -405,7 +391,6 @@ OPTIMIZER_CASES = [
         "15-historical-hash-optindex",
         "historical",
         "hash",
-        False,
         True,
         True,
         [
@@ -432,7 +417,6 @@ OPTIMIZER_CASES = [
         "16-rollback-twolevel-optoff",
         "rollback",
         "twolevel",
-        True,
         False,
         False,
         [
@@ -458,11 +442,11 @@ OPTIMIZER_CASES = [
 def build() -> int:
     failures = 0
     cases = [
-        (name, db_type, structure, batch, atomic, True, texts)
-        for name, db_type, structure, batch, atomic, texts in CASES
+        (name, db_type, structure, atomic, True, texts)
+        for name, db_type, structure, atomic, texts in CASES
     ] + OPTIMIZER_CASES
     for number, (
-        name, db_type, structure, batch, atomic, optimizer, texts
+        name, db_type, structure, atomic, optimizer, texts
     ) in enumerate(cases, start=1):
         workload = Workload(
             seed=number,
@@ -474,8 +458,7 @@ def build() -> int:
             statements=[parse_statement(text) for text in texts],
         )
         config = Config(
-            structure=structure, batch=batch, atomic=atomic,
-            optimizer=optimizer,
+            structure=structure, atomic=atomic, optimizer=optimizer,
         )
         report = run_workload(workload, config, inject_modifies=False)
         if report.divergence is not None:

@@ -141,3 +141,34 @@ class TestStatementAtomicityOfErrors:
             basic.execute("modify r to rtree on id")
         # The old structure still answers queries.
         assert basic.execute("retrieve (x.v) where x.id = 1").rows
+
+
+class TestDetachmentTemporariesOnError:
+    """A statement that fails after detaching drops its temporaries."""
+
+    @pytest.fixture
+    def joined(self, db):
+        db.execute("create r (id = i4, v = i4)")
+        db.execute("range of x is r")
+        db.execute("range of y is r")
+        for i in range(1, 5):
+            db.execute(f"append to r (id = {i}, v = {i * 100})")
+        return db
+
+    @staticmethod
+    def temporaries(db):
+        return [name for name in db.pool._files if name.startswith("_temp")]
+
+    def test_failed_retrieve_leaves_no_temporary(self, joined):
+        with pytest.raises(TQuelSemanticError):
+            joined.execute(
+                "retrieve coalesced (x.id) where x.id = y.id and x.v > 100"
+            )
+        assert self.temporaries(joined) == []
+
+    def test_failed_aggregate_leaves_no_temporary(self, joined):
+        with pytest.raises(ExecutionError):
+            joined.execute(
+                "retrieve (s = sum(x.v / 0)) where x.id = y.id and x.v > 100"
+            )
+        assert self.temporaries(joined) == []

@@ -124,43 +124,6 @@ def test_explain_analyze_page_counts_match_untraced_run():
         assert f"output {expected.output_pages} page(s)" in line, query_id
 
 
-@pytest.mark.parametrize(
-    "db_type",
-    [
-        DatabaseType.STATIC,
-        DatabaseType.ROLLBACK,
-        DatabaseType.HISTORICAL,
-        DatabaseType.TEMPORAL,
-    ],
-)
-def test_sweep_cells_identical_without_batch_execution(db_type):
-    """Every sweep cell matches the tuple-at-a-time reference path.
-
-    The batch kernel defaults on, so the default sweep (the one
-    ``repro.bench.validate`` scores against the paper's 482 published
-    cells) is a batched sweep; cell-for-cell equality with batching
-    disabled means the validation scorecard is identical on both paths.
-    """
-    from repro.bench.runner import BenchmarkRun
-
-    config = WorkloadConfig(db_type=db_type, loading=100, **SMALL)
-    batched = BenchmarkRun(config, max_update_count=2).run()
-
-    bench = build_database(config)
-    bench.db.batch_execution = False
-    top_uc = 0 if db_type is DatabaseType.STATIC else 2
-    for update_count in range(top_uc + 1):
-        if update_count:
-            evolve_uniform(bench, steps=1)
-        for query_id, cost in measure_suite(bench).items():
-            if cost is None:
-                continue
-            assert batched.costs[query_id][update_count] == cost, (
-                query_id,
-                update_count,
-            )
-
-
 def test_sweep_cells_unaffected_by_instrumentation():
     """A benchmark sweep's every cell is identical with tracing enabled.
 

@@ -102,6 +102,6 @@ def test_quick_matrix_covers_every_structure():
         "heap", "hash", "isam", "btree", "twolevel",
     }
     assert [r.config for r in reports] == [
-        Config(r.config.structure, r.config.batch, r.config.atomic)
+        Config(r.config.structure, r.config.atomic)
         for r in reports
     ]

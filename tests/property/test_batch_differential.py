@@ -1,12 +1,14 @@
-"""Differential testing of the page-at-a-time batch execution kernel.
+"""Differential testing of the page-at-a-time execution kernel's run-ahead.
 
-Batch execution is a pure execution-strategy change: for every query,
-on every structure, it must produce the same result rows AND the same
-per-relation page I/O as the retained tuple-at-a-time interpreter --
-the paper's entire result set is page counts, so a single moved read is
-a regression.  Hypothesis generates random relations (heap, hash, ISAM,
-B-tree), version histories and temporal predicates; each scenario runs
-on two identically built databases, one per execution mode.
+A plan fetches a scan range or chain as one metered run only where
+nothing deeper in the join reads the same file; everywhere else it reads
+page by page.  Either way the result rows AND the per-relation page I/O
+must equal the page-by-page walk (:func:`tests.conftest.per_page_reads`)
+-- the paper's entire result set is page counts, so a single moved read
+is a regression.  Hypothesis generates random relations (heap, hash,
+ISAM, B-tree), version histories and temporal predicates; each scenario
+runs on two identically built databases, one of them reading through the
+page-by-page reference.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro import FOREVER, Clock, TemporalDatabase, parse_temporal
+from tests.conftest import per_page_reads
 
 MAR1_1980 = parse_temporal("3/1/80")
 JAN15_1980 = parse_temporal("1/15/80")
@@ -26,13 +29,9 @@ _CREATE_PREFIX = {
 }
 
 
-def build(scenario, batch: bool) -> TemporalDatabase:
-    """One deterministically-built database in the given execution mode."""
-    db = TemporalDatabase(
-        "diff",
-        clock=Clock(start=MAR1_1980, tick=60),
-        batch_execution=batch,
-    )
+def build(scenario) -> TemporalDatabase:
+    """One deterministically-built database for *scenario*."""
+    db = TemporalDatabase("diff", clock=Clock(start=MAR1_1980, tick=60))
     db_type = scenario["db_type"]
     n = scenario["tuples"]
     db.execute(f"{_CREATE_PREFIX[db_type]} r (id = i4, v = i4, pad = c40)")
@@ -88,12 +87,23 @@ def queries(scenario) -> "list[str]":
 
 
 def run_query(db: TemporalDatabase, text: str):
-    """(sorted result rows, full per-relation I/O delta) for one query."""
+    """(sorted result rows, full per-relation I/O delta) for one query,
+    from a cold pool."""
     db.pool.flush_all()
     before = db.stats.checkpoint()
     result = db.execute(text)
     delta = db.stats.delta(before)
     return sorted(result.rows), delta.as_dict()
+
+
+def run_both(db: TemporalDatabase, reference_db: TemporalDatabase,
+             text: str):
+    """The query as planned on *db*, and on *reference_db* through the
+    page-by-page reference."""
+    planned = run_query(db, text)
+    with per_page_reads():
+        reference = run_query(reference_db, text)
+    return planned, reference
 
 
 @st.composite
@@ -114,14 +124,12 @@ def scenarios(draw):
 @settings(max_examples=25, deadline=None)
 @given(scenario=scenarios())
 def test_batch_matches_tuple_at_a_time(scenario):
-    batched = build(scenario, batch=True)
-    reference = build(scenario, batch=False)
-    assert batched.batch_execution and not reference.batch_execution
+    """The planned reads equal the page-by-page walk, the sequence the
+    tuple-at-a-time interpreter once produced."""
+    db, reference_db = build(scenario), build(scenario)
     for text in queries(scenario):
-        batch_rows, batch_io = run_query(batched, text)
-        ref_rows, ref_io = run_query(reference, text)
-        assert batch_rows == ref_rows, text
-        assert batch_io == ref_io, text
+        planned, reference = run_both(db, reference_db, text)
+        assert planned == reference, text
 
 
 @settings(max_examples=10, deadline=None)
@@ -132,24 +140,21 @@ def test_batch_matches_tuple_at_a_time(scenario):
 def test_batch_matches_with_larger_buffer_pools(scenario, buffers):
     """Interleaved read accounting survives batching even when pages stay
     resident (buffers > 1 makes the hit/miss sequence order-sensitive)."""
-
-    def with_buffers(batch):
+    n = scenario["tuples"]
+    dbs = []
+    for _ in range(2):
         db = TemporalDatabase(
             "diff",
             clock=Clock(start=MAR1_1980, tick=60),
             buffers_per_relation=buffers,
-            batch_execution=batch,
         )
-        return db
-
-    n = scenario["tuples"]
-    dbs = []
-    for batch in (True, False):
-        db = with_buffers(batch)
-        db.execute("create persistent interval r (id = i4, v = i4, pad = c40)")
+        db.execute(
+            "create persistent interval r (id = i4, v = i4, pad = c40)"
+        )
         stamp = JAN15_1980
         rows = [
-            (i, i * 10, "p", stamp + 3600 * i, FOREVER, stamp + 3600 * i, FOREVER)
+            (i, i * 10, "p", stamp + 3600 * i, FOREVER,
+             stamp + 3600 * i, FOREVER)
             for i in range(1, n + 1)
         ]
         db.copy_in("r", rows)
@@ -159,7 +164,6 @@ def test_batch_matches_with_larger_buffer_pools(scenario, buffers):
         db.execute("range of x is r")
         db.execute("range of y is r")
         dbs.append(db)
-    batched, reference = dbs
     # A self-join shares one file between both loop depths: the batch
     # kernel must read its pages at the same points in the interleaved
     # sequence or the buffer hit accounting shifts.
@@ -167,4 +171,5 @@ def test_batch_matches_with_larger_buffer_pools(scenario, buffers):
         "retrieve (x.id, y.v) where x.id = y.id "
         f"and x.v >= {scenario['threshold'] * 10}"
     )
-    assert run_query(batched, text) == run_query(reference, text)
+    planned, reference = run_both(*dbs, text)
+    assert planned == reference

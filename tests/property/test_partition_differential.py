@@ -35,6 +35,7 @@ def build(scenario) -> TemporalDatabase:
     ]
     db.copy_in("r", rows)
     db.execute("range of x is r")
+    db.execute("range of y is r")
     for step in range(scenario["updates"]):
         target = (step * 7) % n + 1
         db.execute(f"replace x (v = x.v + 100) where x.id = {target}")
@@ -134,6 +135,13 @@ def test_mutations_match_after_partitioning(scenario):
         release(partitioned)
 
 
+# No conjunct names x alone, so neither side is detached and the outer
+# scan of r interleaves with the inner scans of r: a gather that fanned
+# out (collecting every partition up front) would read a different page
+# sequence than the serial scan.
+SELF_JOIN = "retrieve (x.id, y.v) where x.id = y.id"
+
+
 def test_gather_modes_agree_on_rows_and_pages():
     """serial / thread / process: same rows, same metered pages."""
     scenario = {
@@ -145,15 +153,16 @@ def test_gather_modes_agree_on_rows_and_pages():
         "partitions": 4,
         "zonemap": False,
     }
+    texts = queries(scenario) + [SELF_JOIN]
     reference = build(scenario)
-    ref_answers = [run_query(reference, text) for text in queries(scenario)]
+    ref_answers = [run_query(reference, text) for text in texts]
 
     db = build(scenario)
     try:
         answers = {}
         for mode in ("serial", "thread", "process"):
             partition(db, scenario, parallel=mode)
-            answers[mode] = [run_query(db, text) for text in queries(scenario)]
+            answers[mode] = [run_query(db, text) for text in texts]
         for mode in ("thread", "process"):
             assert answers[mode] == answers["serial"], mode
         # ...and the rows (not the page counts -- layout changed) match

@@ -9,8 +9,7 @@ page reads must be observably identical to what they replace.
   and scoped I/O counters, the touched-file set and the hit/miss metrics.
 * A query fetches a range or chain as one run only when no deeper loop
   depth reads the same file: an undetached self-join reads exactly what
-  the tuple-at-a-time interpreter reads on every structure and buffer
-  pool size.
+  a page-by-page walk reads on every structure and buffer pool size.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from repro.temporal.interval import Period
 from repro.temporal.parse import parse_temporal as parse_at
 from repro.tquel import ast
 from repro.tquel.compile import VarLayout, compile_temporal, compile_when
+from tests.conftest import per_page_reads
 
 # -- integer pairs == the Period algebra -----------------------------------
 
@@ -204,10 +204,10 @@ JAN15_1980 = parse_temporal("1/15/80")
 STRUCTURES = ("heap", "hash", "isam", "btree", "twolevel")
 
 
-def _self_join_db(structure: str, buffers: int, batch: bool):
+def _self_join_db(structure: str, buffers: int):
     db = TemporalDatabase(
         "kernel", clock=Clock(start=parse_temporal("3/1/80"), tick=60),
-        buffers_per_relation=buffers, batch_execution=batch,
+        buffers_per_relation=buffers,
     )
     db.execute("create persistent interval r (id = i4, v = i4, pad = c40)")
     db.copy_in("r", [
@@ -228,25 +228,25 @@ def test_undetached_self_join_reads_like_the_tuple_interpreter():
     """No conjunct names x alone, so x is not detached: the outer depth
     scans r while the inner depth probes r again for every x row.  The
     outer scan must keep fetching page by page -- one run up front would
-    leave a different page resident for the inner probes."""
+    leave a different page resident for the inner probes -- so the
+    query reads what the page-by-page walk (the tuple-at-a-time
+    interpreter's sequence) reads."""
     queries = (
         "retrieve (x.id, y.v) where x.id = y.id",
         "retrieve (x.id, y.id) where x.v = y.v when x overlap y",
     )
     for structure in STRUCTURES:
         for buffers in range(1, 5):
-            batched = _self_join_db(structure, buffers, batch=True)
-            reference_db = _self_join_db(structure, buffers, batch=False)
+            db = _self_join_db(structure, buffers)
             for text in queries:
-                got, want = (
-                    (sorted(result.rows), result.io.as_dict())
-                    for result in (
-                        _cold(batched, text), _cold(reference_db, text)
-                    )
-                )
+                got = _cold(db, text)
+                with per_page_reads():
+                    want = _cold(db, text)
                 assert got == want, (structure, buffers, text)
 
 
 def _cold(db, text):
+    """(sorted rows, per-relation I/O) of *text* from a cold pool."""
     db.pool.flush_all()
-    return db.execute(text)
+    result = db.execute(text)
+    return sorted(result.rows), result.io.as_dict()

@@ -28,6 +28,15 @@ def rows(n):
     return [(i, "x") for i in range(1, n + 1)]
 
 
+def current_rows(batches):
+    """The rows of primary-store batches, checking their store tag."""
+    found = []
+    for (store, _), _, batch_rows in batches:
+        assert store == "p"
+        found.extend(batch_rows)
+    return found
+
+
 class TestStructure:
     def test_primary_holds_current(self):
         store, _ = make_store(rows(64))
@@ -56,7 +65,7 @@ class TestOverwriteAndHistory:
     def test_overwrite_keeps_primary_size(self):
         store, _ = make_store(rows(64))
         primary_pages = store.primary_pages
-        rid = next(r for r, _ in store.lookup_current(10))
+        rid, _ = next(store.lookup(10))  # the current version comes first
         for round_number in range(20):
             store.append_history(10, (10, f"old{round_number}"))
             store.overwrite_current(rid, (10, f"new{round_number}"))
@@ -76,18 +85,20 @@ class TestOverwriteAndHistory:
         assert found[0] == (1, "x")
         assert (1, "old1") in found and (1, "old2") in found
 
-    def test_lookup_current_skips_history(self):
+    def test_current_only_lookup_skips_history(self):
         store, _ = make_store(rows(8))
         store.append_history(1, (1, "old"))
-        assert [row for _, row in store.lookup_current(1)] == [(1, "x")]
+        assert current_rows(store.lookup_batches(1, current_only=True)) == [
+            (1, "x")
+        ]
 
-    def test_scan_current_cost_stays_flat(self):
+    def test_current_only_scan_cost_stays_flat(self):
         store, pool = make_store(rows(64))
         for key in range(1, 65):
             store.append_history(key, (key, "old"))
         pool.flush_all()
         pool.stats.reset()
-        list(store.scan_current())
+        list(store.scan_batches(current_only=True))
         assert pool.stats.totals().user.reads == store.primary_pages
 
     def test_full_scan_reads_both_stores(self):
@@ -139,7 +150,9 @@ class TestCounts:
         store, _ = make_store(rows(8))
         rid = store.insert_current((100, "new"))
         assert rid[0] == "p"
-        assert [row for _, row in store.lookup_current(100)] == [(100, "new")]
+        assert current_rows(
+            store.lookup_batches(100, current_only=True)
+        ) == [(100, "new")]
 
     def test_keyed_on_delegates_to_primary(self):
         store, _ = make_store(rows(8))
