@@ -178,10 +178,6 @@ class IsamFile(AccessMethod):
         _, hi = self._locate(key)
         return hi
 
-    def build_quota(self) -> int:
-        """Record capacity of a full page (inserts ignore the fillfactor)."""
-        return records_per_page(self._file.record_size)
-
     def insert(self, row: tuple) -> RID:
         if not self._levels:
             raise AccessMethodError("ISAM file was never built")

@@ -60,16 +60,6 @@ def _inputs(suite) -> "dict[str, int]":
     }
 
 
-def _to_conventional(bench: BenchDatabase) -> None:
-    loading = bench.config.loading
-    bench.db.execute(
-        f"modify {bench.h_name} to hash on id where fillfactor = {loading}"
-    )
-    bench.db.execute(
-        f"modify {bench.i_name} to isam on id where fillfactor = {loading}"
-    )
-
-
 def _to_two_level(bench: BenchDatabase, history: str) -> None:
     loading = bench.config.loading
     bench.db.execute(

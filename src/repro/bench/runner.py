@@ -409,9 +409,7 @@ def run_suite(
                     config, f"{detail}\nretry failed: {exc!r}"
                 ) from exc
 
-        with ExecutorService(
-            jobs=min(jobs, len(pending)), mode="process"
-        ) as service:
+        with ExecutorService(jobs=min(jobs, len(pending))) as service:
             sweeps = service.map(
                 _run_sweep,
                 payloads,

@@ -34,11 +34,11 @@ import sys
 import time
 
 from repro.engine.database import TemporalDatabase
+from repro.engine.partition import PARALLEL_MODES
 from repro.sim.load import LOAD_RELATION, generate_rows, pick_key
 from repro.temporal.format import format_chronon
 
 SCAN_QUERY = "retrieve (c = count(l.key), s = sum(l.val))"
-PARALLEL_MODES = ("serial", "thread", "process")
 
 
 def _build(rows: int, chunks: int, seed: int) -> "tuple[TemporalDatabase, list[int]]":
@@ -150,12 +150,10 @@ def run_scale(
             f"  scan [{mode:7s}] {measured['cell'][0]} input pages, "
             f"{measured['seconds'] * 1000:.1f} ms"
         )
-    reference = scans["serial"]
-    for mode in ("thread", "process"):
-        if scans[mode]["rows"] != reference["rows"]:
-            raise AssertionError(f"{mode}: rows diverge from serial")
-        if scans[mode]["cell"] != reference["cell"]:
-            raise AssertionError(f"{mode}: page accounting diverges")
+    if scans["process"]["rows"] != scans["serial"]["rows"]:
+        raise AssertionError("process: rows diverge from serial")
+    if scans["process"]["cell"] != scans["serial"]["cell"]:
+        raise AssertionError("process: page accounting diverges")
 
     # -- point-lookup percentiles (hash partitioned, keyed) ----------------
     db.execute(f"modify {LOAD_RELATION} to hash on key")

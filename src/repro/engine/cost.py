@@ -22,7 +22,7 @@ prediction is the current physical cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.access.btree import BTreeFile
 from repro.access.hashfile import HashFile
@@ -63,9 +63,6 @@ class PathCost:
             return self.fixed + self.variable
         return self.fixed + self.variable * (1.0 + self.growth * self.updates)
 
-    def aged(self, updates: int) -> "PathCost":
-        """The same estimate re-anchored *updates* statements later."""
-        return replace(self, updates=updates)
 
 
 def _chain_pages(page_count: int, buckets: int) -> float:

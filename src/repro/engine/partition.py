@@ -18,19 +18,17 @@ Record ids are composite: a child's ``(page, slot)`` becomes
 unpacking and opaque page-id grouping working unchanged.
 
 Scans gather children in partition order so results are byte-identical
-to the unpartitioned relation scanned serially.  Three dispatch modes
-(``parallel = serial | thread | process`` at partition time) reuse the
-:class:`~repro.exec.ExecutorService`:
+to the unpartitioned relation scanned serially.  Two modes
+(``parallel = serial | process`` at partition time):
 
-* ``serial`` -- children scanned one after another, the reference path;
-* ``thread`` -- one thread per surviving partition; each worker installs
-  the coordinator's I/O-meter scope, so per-session attribution stays
-  exact;
-* ``process`` -- aggregate scans ship page images to pool workers which
-  run a C-driven decode/filter/fold kernel and return partial aggregates
+* ``serial`` -- every scan reads the children one after another, the
+  reference path;
+* ``process`` -- aggregate scans the page-fold kernel accepts ship page
+  images to :class:`~repro.exec.ExecutorService` pool workers, which run
+  a C-driven decode/filter/fold kernel and return partial aggregates
   plus their metered page counts (merged back into the coordinator's
-  scope).  Row-returning scans fall back to thread fan-out: rows would
-  have to cross the process boundary anyway, which costs more than the
+  scope).  Every other scan reads the children serially: returned rows
+  would have to cross the process boundary, which costs more than the
   decode they save.
 
 Partition pruning happens before dispatch: each partition tracks the
@@ -43,7 +41,6 @@ counts land in the metrics registry (``partition.pruned`` /
 from __future__ import annotations
 
 import os
-import time
 import zlib
 from bisect import bisect_right
 
@@ -56,7 +53,7 @@ from repro.exec import ExecutorService
 from repro.exec.scan import scan_partition_pages
 from repro.storage.iostats import IODelta
 
-PARALLEL_MODES = ("serial", "thread", "process")
+PARALLEL_MODES = ("serial", "process")
 
 #: Per-task stall deadline (seconds) for process-pool gathers; 0 in the
 #: environment (the default) means no deadline.  A partition slice that
@@ -274,7 +271,7 @@ class PartitionedRelation:
             for pid in range(count)
         ]
         self._store = _PartitionStore(self)
-        self._services: "dict[str, ExecutorService]" = {}
+        self._service: "ExecutorService | None" = None
 
     def _child_schema(self, pid: int) -> RelationSchema:
         return RelationSchema(
@@ -504,100 +501,15 @@ class PartitionedRelation:
         self,
         current_only: bool = False,
         asof_max: "int | None" = None,
-        gather: "str | None" = None,
         ahead: bool = False,
     ):
         """Pruned scan yielding ``((pid, page), slots, rows)`` per page,
-        in partition order.
-
-        *gather* overrides the relation's configured mode for this scan
-        only -- the planner forces ``"serial"`` when the surviving
-        partitions hold too few pages for fan-out to pay off.  A fan-out
-        collects every partition before the first batch is consumed, so
-        it runs only where the plan allows run-ahead (*ahead*): when a
-        deeper loop depth reads this relation too, the scan stays serial
-        and page by page.
-        """
-        survivors = self.survivors(asof_max)
-        mode = gather if gather is not None else self.parallel
-        if mode == "serial" or len(survivors) < 2 or not ahead:
-            for pid in survivors:
-                for page_id, slots, rows in self.children[pid].scan_batches(
-                    current_only, asof_max, ahead
-                ):
-                    yield (pid, page_id), slots, rows
-            return
-        # Thread fan-out (also the process-mode fallback for scans that
-        # return rows; see the module docstring).  Workers install the
-        # coordinator's meter scope so the session's I/O attribution is
-        # unchanged, and each child's batches are collected eagerly but
-        # yielded strictly in partition order.
-        stats = self._pool.stats
-        scope = stats.active_scope
-        tracer = self._tracer
-        root = tracer.active_span if tracer is not None else None
-        traced = root is not None and root.trace_id is not None
-
-        def collect(pid: int) -> "tuple[list[tuple], dict | None]":
-            child = self.children[pid]
-            started = time.perf_counter()
-            with stats.scoped(scope):
-                # Collected whole before anything else runs: one run.
-                batches = [
-                    ((pid, page_id), slots, rows)
-                    for page_id, slots, rows in child.scan_batches(
-                        current_only, asof_max, ahead=True
-                    )
-                ]
-            if not traced:
-                return batches, None
-            from repro.observe.span import new_span_id
-
-            duration = time.perf_counter() - started
-            # Thread workers share the coordinator process, so the span
-            # is built in as_dict form here (same shape the process
-            # kernel ships back) and grafted after the gather.
-            meta = {
-                "name": "worker",
-                "started": started,
-                "duration_ms": duration * 1000.0,
-                "trace_id": root.trace_id,
-                "span_id": new_span_id(),
-                "parent_id": root.span_id,
-                "attributes": {
-                    "lane": "worker",
-                    "pid": os.getpid(),
-                    "partition": child.name,
-                    "batches": len(batches),
-                    "kernel": "scan_batches",
-                },
-                "children": [],
-            }
-            return batches, meta
-
-        service = self._thread_service()
-        gathered = service.map(
-            collect, survivors, labels=[f"{self.name}#{p}" for p in survivors]
-        )
-        self._note_gather(service)
-        if traced:
-            from repro.observe.span import Span
-
-            recorder = self._recorder
-            for _, meta in gathered:
-                if meta is None:
-                    continue
-                root.adopt(Span.from_dict(meta))
-                if recorder is not None:
-                    attributes = meta["attributes"]
-                    recorder.record(
-                        "exec.partition_scan",
-                        partition=attributes["partition"],
-                        worker_pid=attributes["pid"],
-                        batches=attributes["batches"],
-                    )
-        for batches, _ in gathered:
-            yield from batches
+        in partition order."""
+        for pid in self.survivors(asof_max):
+            for page_id, slots, rows in self.children[pid].scan_batches(
+                current_only, asof_max, ahead
+            ):
+                yield (pid, page_id), slots, rows
 
     def lookup_batches(self, key, current_only: bool = False,
                        ahead: bool = False):
@@ -605,45 +517,26 @@ class PartitionedRelation:
 
     # -- scatter-gather executors ------------------------------------------
 
-    def _thread_service(self) -> ExecutorService:
-        service = self._services.get("thread")
-        if service is None:
-            service = ExecutorService(
-                jobs=self.partition_count, mode="thread",
+    def _process_service(self) -> ExecutorService:
+        if self._service is None:
+            self._service = ExecutorService(
+                jobs=self.partition_count, task_timeout=_GATHER_TIMEOUT,
                 metrics=self._metrics,
             )
-            self._services["thread"] = service
-        return service
-
-    def _process_service(self) -> ExecutorService:
-        service = self._services.get("process")
-        if service is None:
-            service = ExecutorService(
-                jobs=self.partition_count, mode="process",
-                task_timeout=_GATHER_TIMEOUT, metrics=self._metrics,
-            )
-            self._services["process"] = service
-        return service
-
-    def _note_gather(self, service: ExecutorService) -> None:
-        """Surface a degraded (serial-fallback) gather after a map."""
-        if service.last_map_degraded and self._metrics is not None:
-            self._metrics.inc("partition.degraded")
+        return self._service
 
     @property
     def gather_degraded(self) -> bool:
         """Whether any gather since creation fell back to serial
         (worker deaths or stalls exhausted the pool retries); EXPLAIN
         flags it on the relation's scan line."""
-        return any(
-            service.degraded for service in self._services.values()
-        )
+        return self._service is not None and self._service.degraded
 
     def release(self) -> None:
         """Reap pool workers (on destroy/unpartition/close)."""
-        for service in self._services.values():
-            service.close()
-        self._services = {}
+        if self._service is not None:
+            self._service.close()
+            self._service = None
 
     # -- parallel aggregate kernel -----------------------------------------
 
@@ -730,7 +623,8 @@ class PartitionedRelation:
             payloads,
             labels=[f"{self.name}#{pid}" for pid in survivors],
         )
-        self._note_gather(service)
+        if service.last_map_degraded and self._metrics is not None:
+            self._metrics.inc("partition.degraded")
         stats = self._pool.stats
         scope = stats.active_scope
         for result in results:

@@ -505,7 +505,11 @@ def _restore_partitioned(db, entry, root, files) -> PartitionedRelation:
         attribute=part["attribute"],
         count=int(part["count"]),
         bounds=part["bounds"],
-        parallel=part["parallel"],
+        # Thread gather was removed; a checkpoint that stored it loads
+        # as the serial scan it always matched.
+        parallel=(
+            "serial" if part["parallel"] == "thread" else part["parallel"]
+        ),
         metrics=getattr(db, "metrics", None),
         tracer=getattr(db, "tracer", None),
         recorder=getattr(db, "recorder", None),

@@ -19,11 +19,6 @@ uniform costs the optimizer is plan-for-plan identical to
 ``REPRO_OPTIMIZER=off`` -- the differential test harness compares the
 two modes row-for-row.
 
-For partitioned relations the planner additionally decides the gather
-mode: a scatter-gather scan whose surviving partitions hold almost no
-pages is forced serial (fan-out overhead would dominate), everything
-larger keeps the relation's configured mode.
-
 Decisions are cached per ``(statement fingerprint, range table, catalog
 epoch, stats epoch)``; any DDL or bulk load bumps an epoch, so no stale
 plan is ever served.
@@ -50,11 +45,6 @@ DEFAULT_OPTIMIZER = os.environ.get(
     "REPRO_OPTIMIZER", "on"
 ).strip().lower() not in ("off", "0", "false")
 
-# A partitioned scan whose surviving partitions hold at most this many
-# data pages is gathered serially: thread/process fan-out costs more
-# than reading the pages.
-SERIAL_GATHER_PAGES = 2.0
-
 # Decision-cache capacity (decisions are tiny tuples).
 DECISION_CACHE_CAPACITY = 256
 
@@ -74,21 +64,19 @@ class AccessChoice:
     kind: str  # "keyed" | "index" | "scan"
     position: "int | None" = None  # key attribute for keyed/index paths
     index_name: "str | None" = None
-    gather: "str | None" = None  # "serial" to override a partitioned scan
     chosen: "PathCost | None" = None
     rejected: "list[PathCost]" = field(default_factory=list)
 
     def freeze(self) -> tuple:
         return (
-            self.kind, self.position, self.index_name, self.gather,
-            self.chosen, tuple(self.rejected),
+            self.kind, self.position, self.index_name, self.chosen,
+            tuple(self.rejected),
         )
 
     @classmethod
     def thaw(cls, frozen: tuple) -> "AccessChoice":
-        kind, position, index_name, gather, chosen, rejected = frozen
-        return cls(kind, position, index_name, gather, chosen,
-                   list(rejected))
+        kind, position, index_name, chosen, rejected = frozen
+        return cls(kind, position, index_name, chosen, list(rejected))
 
 
 class Planner:
@@ -198,8 +186,6 @@ class Planner:
             scan_cost, relation, current_only, asof_max, growth
         )
         scan_choice = AccessChoice("scan", chosen=scan)
-        if scan is not None:
-            scan_choice.gather = self._gather_override(relation, scan)
         if not candidates:
             return scan_choice
         if scan is not None:
@@ -231,15 +217,6 @@ class Planner:
             return estimator(*args)
         except (AttributeError, TypeError):
             return None
-
-    def _gather_override(self, relation, scan: PathCost) -> "str | None":
-        if not getattr(relation, "is_partitioned", False):
-            return None
-        if getattr(relation, "parallel", "serial") == "serial":
-            return None
-        if scan.variable <= SERIAL_GATHER_PAGES:
-            return "serial"
-        return None
 
     def _growth_for(self, relation) -> "float | None":
         from repro.observe.stats import growth_rate_for

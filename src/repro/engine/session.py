@@ -301,11 +301,6 @@ class Session:
         self._check_open()
         return self.db.query_stats.snapshot(n)
 
-    def slow_queries(self, n: "int | None" = None) -> "list[dict]":
-        """The slow-query log's most recent *n* entries."""
-        self._check_open()
-        return self.db.slowlog.dump(n)
-
     def io_totals(self):
         """This session's lifetime page I/O, as an
         :class:`~repro.storage.iostats.IODelta` (other sessions' accesses

@@ -1,16 +1,13 @@
-"""The executor service: serial, threaded, or process scatter-gather.
+"""The executor service: serial or process scatter-gather.
 
-One idiom, three dispatch modes:
+One idiom, two dispatch modes, chosen by ``jobs``:
 
-* ``serial`` -- run tasks inline, in order.  The degenerate case every
-  other mode must match result-for-result.
-* ``thread`` -- fan tasks across a thread pool.  Right for small fan-out
-  over in-memory state (partition scans share the coordinator's buffer
-  pool and I/O meter; each task installs its own meter scope).
-* ``process`` -- fan tasks across a ``concurrent.futures``
-  ``ProcessPoolExecutor``.  Right for CPU-bound work: each worker
-  escapes the GIL, at the price of pickling the task function and its
-  payload both ways.
+* ``serial`` (``jobs=1``) -- run tasks inline, in order.  The
+  degenerate case the process mode must match result-for-result.
+* ``process`` (``jobs > 1``) -- fan tasks across a
+  ``concurrent.futures`` ``ProcessPoolExecutor``.  Right for CPU-bound
+  work: each worker escapes the GIL, at the price of pickling the task
+  function and its payload both ways.
 
 Every task runs under :func:`call_guarded`, so an ordinary crash travels
 back as ``("error", traceback text)`` instead of poisoning the pool --
@@ -40,7 +37,6 @@ retry/degrade ladder end to end.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
 
@@ -102,39 +98,28 @@ class TaskError(RuntimeError):
 class ExecutorService:
     """Scatter tasks, gather ordered results.
 
-    ``jobs`` bounds worker parallelism; ``mode`` picks the dispatch
-    strategy (default: ``"serial"`` for one job, ``"process"``
-    otherwise).  A process pool is created lazily on first use and kept
-    for the service's lifetime -- close the service (or use it as a
-    context manager) to reap workers.  In process mode the task function
-    must be module-level (picklable), and on fork-based platforms
-    workers inherit the coordinator's module state as of pool creation.
+    ``jobs`` bounds worker parallelism and picks the dispatch mode:
+    serial for one job, a process pool otherwise.  The pool is created
+    lazily on first use and kept for the service's lifetime -- close the
+    service (or use it as a context manager) to reap workers.  With more
+    than one job the task function must be module-level (picklable), and
+    on fork-based platforms workers inherit the coordinator's module
+    state as of pool creation.
 
-    ``task_timeout`` (seconds, process mode) is the per-task stall
-    deadline; ``max_attempts`` bounds pool attempts before the serial
-    fallback; ``metrics`` (a MetricsRegistry) receives
-    ``exec.worker_failures`` / ``exec.retries`` / ``exec.degraded``
-    counters.
+    ``task_timeout`` (seconds) is the per-task stall deadline;
+    ``max_attempts`` bounds pool attempts before the serial fallback;
+    ``metrics`` (a MetricsRegistry) receives ``exec.worker_failures`` /
+    ``exec.retries`` / ``exec.degraded`` counters.
     """
-
-    MODES = ("serial", "thread", "process")
 
     def __init__(
         self,
         jobs: int = 1,
-        mode: "str | None" = None,
         task_timeout: "float | None" = None,
         max_attempts: int = 2,
         metrics=None,
     ):
-        if mode is None:
-            mode = "serial" if jobs <= 1 else "process"
-        if mode not in self.MODES:
-            raise ValueError(
-                f"unknown executor mode {mode!r}; expected one of {self.MODES}"
-            )
         self.jobs = max(1, int(jobs))
-        self.mode = mode if self.jobs > 1 else "serial"
         self.task_timeout = task_timeout
         self.max_attempts = max(1, int(max_attempts))
         self.metrics = metrics
@@ -147,6 +132,11 @@ class ExecutorService:
         self.last_failure: "str | None" = None
         #: Dispatch attempts the most recent map() consumed (1 = clean).
         self.last_attempts = 1
+
+    @property
+    def mode(self) -> str:
+        """``"serial"`` for one job, ``"process"`` otherwise."""
+        return "process" if self.jobs > 1 else "serial"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -274,25 +264,8 @@ class ExecutorService:
 
     def _dispatch(self, fn, items) -> "list[tuple]":
         """Run every task, returning (status, data) pairs in item order."""
-        if self.mode == "process" and len(items) > 1:
+        if self.jobs > 1 and len(items) > 1:
             return self._dispatch_process(fn, items)
-        if self.mode == "thread" and len(items) > 1:
-            outcomes: "list[tuple | None]" = [None] * len(items)
-
-            def run_slice(start: int) -> None:
-                for index in range(start, len(items), workers):
-                    outcomes[index] = call_guarded(fn, items[index])
-
-            workers = min(self.jobs, len(items))
-            threads = [
-                threading.Thread(target=run_slice, args=(start,))
-                for start in range(workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            return outcomes
         return [call_guarded(fn, item) for item in items]
 
     def map(self, fn, items, labels=None, on_error=None) -> list:

@@ -273,9 +273,9 @@ class PartitionStmt:
     """``partition R by hash|range on attr into N [where opt = v, ...]``.
 
     ``into 1`` collapses the relation back to a single store.  Options:
-    ``parallel`` (``"serial"``/``"thread"``/``"process"``) picks the
-    scatter-gather mode, ``bounds`` (a comma-separated string) gives the
-    N-1 cut values of a range partitioning.
+    ``parallel`` (``"serial"``/``"process"``) picks whether aggregate
+    scans scatter to the page-fold kernel, ``bounds`` (a comma-separated
+    string) gives the N-1 cut values of a range partitioning.
     """
 
     relation: str

@@ -35,7 +35,7 @@ class _PlannedTemporary:
     """Sentinel marking a variable as detached during dry planning."""
 
 
-def _partition_suffix(executor, relation, source, gather=None) -> str:
+def _partition_suffix(executor, relation, source) -> str:
     pruned = ""
     if executor._asof_period is not None and source.layout.tx is not None:
         survivors = len(
@@ -51,14 +51,13 @@ def _partition_suffix(executor, relation, source, gather=None) -> str:
         if getattr(relation, "gather_degraded", False)
         else ""
     )
-    mode = relation.parallel
-    planned = ""
-    if gather is not None and gather != mode:
-        mode = gather
-        planned = " (planner override)"
+    # Only the page-fold kernel scatters; every other scan of a
+    # partitioned relation reads its partitions serially.
+    order = list(executor._analysis.var_order)
+    mode = "serial" if executor._kernel_specs(order) is None else "process"
     return (
         f" [{relation.partition_count} {relation.partition_method}"
-        f" partitions, {mode} gather{planned}{pruned}{degraded}]"
+        f" partitions, {mode} gather{pruned}{degraded}]"
     )
 
 
@@ -77,9 +76,7 @@ def _access_description(executor: Executor, var: str, choice) -> str:
     ):
         suffix = " [zone map prunes post-as-of pages]"
     if getattr(relation, "is_partitioned", False):
-        suffix += _partition_suffix(
-            executor, relation, source, gather=choice.gather
-        )
+        suffix += _partition_suffix(executor, relation, source)
     if choice.kind == "keyed":
         attribute = relation.schema.fields[choice.position].name
         structure = (

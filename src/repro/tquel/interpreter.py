@@ -40,7 +40,7 @@ current index only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.schema import IMPLICIT_ATTRIBUTES
 from repro.engine import mutate
@@ -312,13 +312,6 @@ class Executor:
                 )
         # A zone map may skip pages recorded after the as-of event.
         asof_max = self._scan_asof_max(var)
-        if choice.gather is not None and getattr(
-            relation, "is_partitioned", False
-        ):
-            return lambda: relation.scan_batches(
-                current_only=current_only, asof_max=asof_max,
-                gather=choice.gather, ahead=ahead,
-            )
         return lambda: relation.scan_batches(
             current_only, asof_max, ahead=ahead
         )
@@ -489,10 +482,9 @@ class Executor:
             for _, expr, __ in targets
             if isinstance(expr, ast.Aggregate)
         )
-        if not by_list:
-            kernel = self._kernel_aggregate(order)
-            if kernel is not None:
-                return [tuple(kernel)]
+        specs = self._kernel_specs(order)
+        if specs is not None:
+            return [tuple(self._kernel_aggregate(order[0], *specs))]
 
         group_fns = [
             compile_scalar(expr, None, layouts, self._bindings)
@@ -558,15 +550,15 @@ class Executor:
         ">=": "<=",
     }
 
-    def _kernel_aggregate(self, order) -> "list | None":
-        """Push an ungrouped aggregate to the partition scan kernel.
+    def _kernel_specs(self, order) -> "tuple | None":
+        """The partition scan kernel's ``(filters, aggs, asof_max)`` for
+        this statement, or None when it must run on the interpreter.
 
-        When the single variable ranges over a process-parallel
-        partitioned relation and every target and conjunct translates to
-        the kernel's position-level specs, the whole fold runs as a
-        scatter-gather over raw page images -- same rows, same page
-        accounting, no per-row interpretation.  Returns the final target
-        values, or None when the statement must run on the interpreter.
+        The kernel takes an ungrouped aggregate whose single variable
+        ranges over a process-parallel partitioned relation, when every
+        target and conjunct translates to the kernel's position-level
+        specs.  EXPLAIN asks the same question, so it names the gather
+        that runs.
         """
         if len(order) != 1:
             return None
@@ -591,7 +583,7 @@ class Executor:
         schema = relation.schema
         aggs = []
         for _, expr, __ in self._analysis.targets:
-            if not isinstance(expr, ast.Aggregate):
+            if not isinstance(expr, ast.Aggregate) or expr.by:
                 return None
             operand = expr.operand
             if not (isinstance(operand, ast.Attr) and operand.var == var):
@@ -634,9 +626,16 @@ class Executor:
             compile_page_fold(filters, aggs)  # validate before scattering
         except ValueError:
             return None
+        return filters, aggs, asof_max
+
+    def _kernel_aggregate(self, var: str, filters, aggs, asof_max) -> list:
+        """Run the fold :meth:`_kernel_specs` accepted as a scatter-gather
+        over raw page images -- same rows, same page accounting, no
+        per-row interpretation.  Returns the final target values."""
         metrics = getattr(self._db, "metrics", None)
         if metrics is not None:
             metrics.inc("partition.kernel_pushdown")
+        relation = self._sources[var].relation
         results = relation.partition_aggregate(filters, aggs, asof_max)
         merged = merge_partials(aggs, results)
         return [

@@ -24,15 +24,34 @@ from repro.server.server import ServerThread
 AGGREGATE = "retrieve (total = count(x.id)) where x.v < 7"
 
 
-def build_db(parallel: str = "thread", rows: int = 160,
-             partitions: int = 3) -> TemporalDatabase:
-    db = TemporalDatabase("disttrace")
-    db.execute("create r (id = i4, v = i4)")
-    for i in range(rows):
-        db.execute(f"append to r (id = {i}, v = {i % 10})")
-    db.partition_relation("r", "hash", "id", partitions, parallel=parallel)
-    db.execute("range of x is r")
-    return db
+def release(db) -> None:
+    """Reap the pool workers of every partitioned relation in *db*."""
+    for relation in list(db._relations.values()):
+        close = getattr(relation, "release", None)
+        if close is not None:
+            close()
+
+
+@pytest.fixture
+def build_db():
+    """Build process-partitioned databases; reap their pools after."""
+    built = []
+
+    def build(rows: int = 160, partitions: int = 3) -> TemporalDatabase:
+        db = TemporalDatabase("disttrace")
+        db.execute("create r (id = i4, v = i4)")
+        for i in range(rows):
+            db.execute(f"append to r (id = {i}, v = {i % 10})")
+        db.partition_relation(
+            "r", "hash", "id", partitions, parallel="process"
+        )
+        db.execute("range of x is r")
+        built.append(db)
+        return db
+
+    yield build
+    for db in built:
+        release(db)
 
 
 def collect_lanes(span, out=None):
@@ -45,7 +64,7 @@ def collect_lanes(span, out=None):
 
 
 class TestLocalWorkerSpans:
-    def test_traced_parallel_aggregate_adopts_worker_spans(self):
+    def test_traced_parallel_aggregate_adopts_worker_spans(self, build_db):
         db = build_db()
         db.tracer.enable()
         db.execute(AGGREGATE)
@@ -58,25 +77,23 @@ class TestLocalWorkerSpans:
         for worker in workers:
             assert worker.trace_id == root.trace_id
             assert worker.parent_id == root.span_id
-            # Thread fan-out reports the scan_batches kernel; the
-            # process pool reports page_fold (and ships io too).
-            assert worker.attributes["kernel"] == "scan_batches"
+            assert worker.attributes["kernel"] == "page_fold"
             assert worker.attributes["partition"].startswith("r#")
 
-    def test_explain_analyze_shows_worker_spans(self):
+    def test_explain_analyze_shows_worker_spans(self, build_db):
         db = build_db()
         text = db.explain(AGGREGATE, analyze=True)
         assert "worker" in text
         assert "lane=worker" in text
 
-    def test_worker_events_merge_into_coordinator_recorder(self):
+    def test_worker_events_merge_into_coordinator_recorder(self, build_db):
         db = build_db()
         db.tracer.enable()
         db.execute(AGGREGATE)
         kinds = [event.kind for event in db.recorder.dump()]
         assert kinds.count("exec.partition_scan") == 3
 
-    def test_worker_page_visits_mirror_into_heatmap(self):
+    def test_worker_page_visits_mirror_into_heatmap(self, build_db):
         db = build_db()
         db.heatmap.enable()
         db.tracer.enable()
@@ -84,7 +101,7 @@ class TestLocalWorkerSpans:
         files = db.heatmap.files()
         assert any(name.startswith("r#") for name in files)
 
-    def test_untraced_statements_ship_no_spans(self):
+    def test_untraced_statements_ship_no_spans(self, build_db):
         db = build_db()
         db.execute(AGGREGATE)  # tracer disabled
         assert db.tracer.last is None
@@ -95,8 +112,8 @@ class TestLocalWorkerSpans:
 
 
 class TestRemoteMergedTrace:
-    def test_tcp_process_statement_produces_one_merged_tree(self):
-        db = build_db(parallel="process")
+    def test_tcp_process_statement_produces_one_merged_tree(self, build_db):
+        db = build_db()
         with ServerThread(db) as server:
             with repro.connect(server.url) as session:
                 session.tracer.enable()
@@ -111,8 +128,8 @@ class TestRemoteMergedTrace:
         assert workers >= 1
         assert {tid for _, tid in lanes} == {root.trace_id}
 
-    def test_remote_stats_report_predicted_vs_actual(self):
-        db = build_db(parallel="thread")
+    def test_remote_stats_report_predicted_vs_actual(self, build_db):
+        db = build_db()
         with ServerThread(db) as server:
             with repro.connect(server.url) as session:
                 session.execute("range of x is r")
@@ -129,8 +146,8 @@ class TestRemoteMergedTrace:
         ratio = entry["predicted_pages"] / entry["actual_pages"]
         assert ratio == pytest.approx(1.0, abs=0.25)
 
-    def test_prepared_statements_trace_and_count_plan_hits(self):
-        db = build_db(parallel="thread")
+    def test_prepared_statements_trace_and_count_plan_hits(self, build_db):
+        db = build_db()
         with ServerThread(db) as server:
             with repro.connect(server.url) as session:
                 session.tracer.enable()
@@ -151,8 +168,8 @@ class TestRemoteMergedTrace:
         assert entry["calls"] == 2
         assert entry["plan_cache_hits"] == 2
 
-    def test_chrome_trace_renders_client_server_worker_lanes(self):
-        db = build_db(parallel="thread")
+    def test_chrome_trace_renders_client_server_worker_lanes(self, build_db):
+        db = build_db()
         with ServerThread(db) as server:
             with repro.connect(server.url) as session:
                 session.tracer.enable()
@@ -173,8 +190,8 @@ class TestRemoteMergedTrace:
         assert len(pids) >= 3
         json.dumps(trace)  # serializable end to end
 
-    def test_client_prometheus_export_covers_retry_stats(self):
-        db = build_db(parallel="thread")
+    def test_client_prometheus_export_covers_retry_stats(self, build_db):
+        db = build_db()
         with ServerThread(db) as server:
             with repro.connect(server.url) as session:
                 session.execute("range of x is r")
@@ -184,10 +201,12 @@ class TestRemoteMergedTrace:
         assert "repro_client_reconnects_total 0" in text
         assert "repro_client_retry_stats_backoff_seconds 0" in text
 
-    def test_engine_prometheus_export_preregisters_exec_counters(self):
+    def test_engine_prometheus_export_preregisters_exec_counters(
+        self, build_db
+    ):
         from repro.observe.export import prometheus_text
 
-        db = build_db(parallel="thread")
+        db = build_db()
         text = prometheus_text(db.metrics)
         assert "repro_exec_degraded_total 0" in text
         assert "repro_exec_worker_failures_total 0" in text
@@ -210,13 +229,18 @@ class TestStatsDurability:
         assert entry.calls == 1
         assert entry.actual_pages >= 1
 
-    def test_restored_partitioned_relation_keeps_tracing(self, tmp_path):
-        db = build_db(parallel="thread")
+    def test_restored_partitioned_relation_keeps_tracing(
+        self, tmp_path, build_db
+    ):
+        db = build_db()
         db.save(tmp_path / "chk")
         restored = TemporalDatabase.load(tmp_path / "chk")
-        restored.tracer.enable()
-        restored.execute("range of x is r")
-        restored.execute(AGGREGATE)
+        try:
+            restored.tracer.enable()
+            restored.execute("range of x is r")
+            restored.execute(AGGREGATE)
+        finally:
+            release(restored)
         root = restored.tracer.last
         workers = [
             child for child in root.children
@@ -226,8 +250,8 @@ class TestStatsDurability:
 
 
 class TestSlowQueryLog:
-    def test_slow_statements_capture_trace_and_plan(self):
-        db = build_db(parallel="thread")
+    def test_slow_statements_capture_trace_and_plan(self, build_db):
+        db = build_db()
         db.slowlog = SlowQueryLog(threshold_ms=0.0)
         db.execute(AGGREGATE)
         entries = db.slowlog.dump()

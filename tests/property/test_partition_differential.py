@@ -8,8 +8,8 @@ a partitioned copy (hash or range, zone map on or off), and every
 result must match row-for-row.
 
 A second, deterministic test drives one partitioned database through
-all three gather modes (``serial``, ``thread``, ``process``) and
-asserts rows *and page accounting* are identical -- the paper's entire
+both gather modes (``serial``, ``process``) and asserts rows *and page
+accounting* are identical -- the paper's entire
 result set is page counts, so a worker that meters a read differently
 is a regression even when the rows agree.
 """
@@ -136,14 +136,14 @@ def test_mutations_match_after_partitioning(scenario):
 
 
 # No conjunct names x alone, so neither side is detached and the outer
-# scan of r interleaves with the inner scans of r: a gather that fanned
-# out (collecting every partition up front) would read a different page
+# scan of r interleaves with the inner scans of r: a gather that
+# collected every partition up front would read a different page
 # sequence than the serial scan.
 SELF_JOIN = "retrieve (x.id, y.v) where x.id = y.id"
 
 
 def test_gather_modes_agree_on_rows_and_pages():
-    """serial / thread / process: same rows, same metered pages."""
+    """serial / process: same rows, same metered pages."""
     scenario = {
         "tuples": 48,
         "updates": 4,
@@ -160,11 +160,10 @@ def test_gather_modes_agree_on_rows_and_pages():
     db = build(scenario)
     try:
         answers = {}
-        for mode in ("serial", "thread", "process"):
+        for mode in ("serial", "process"):
             partition(db, scenario, parallel=mode)
             answers[mode] = [run_query(db, text) for text in texts]
-        for mode in ("thread", "process"):
-            assert answers[mode] == answers["serial"], mode
+        assert answers["process"] == answers["serial"]
         # ...and the rows (not the page counts -- layout changed) match
         # the unpartitioned reference.
         for got, want in zip(answers["serial"], ref_answers):

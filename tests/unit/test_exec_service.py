@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 
 import pytest
 
@@ -39,68 +38,53 @@ def test_process_entry_is_picklable():
     assert _process_entry(payload) == ("ok", 25)
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-def test_modes_agree_and_preserve_order(mode):
-    with ExecutorService(jobs=4, mode=mode) as service:
+@pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "process"])
+def test_modes_agree_and_preserve_order(jobs):
+    with ExecutorService(jobs=jobs) as service:
+        assert service.mode == ("serial" if jobs == 1 else "process")
         assert service.map(_square, range(10)) == [
             n * n for n in range(10)
         ]
 
 
 def test_jobs_one_collapses_to_serial():
-    service = ExecutorService(jobs=1, mode="process")
+    service = ExecutorService(jobs=1)
     assert service.mode == "serial"
     assert service._pool is None
     assert service.map(_square, [3]) == [9]
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="unknown executor mode"):
-        ExecutorService(jobs=2, mode="fibers")
-
-
 def test_error_without_hook_raises_task_error():
-    with ExecutorService(jobs=2, mode="thread") as service:
+    with ExecutorService(jobs=2) as service:
         with pytest.raises(TaskError) as excinfo:
             service.map(_crash_on_three, [1, 2, 3], labels=["a", "b", "c"])
     assert excinfo.value.label == "c"
     assert "three is right out" in excinfo.value.detail
     # The error names where and how the task ran, not just that it died.
-    assert excinfo.value.mode == "thread"
+    assert excinfo.value.mode == "process"
     assert excinfo.value.attempts == 1
-    assert "mode thread" in str(excinfo.value)
+    assert "mode process" in str(excinfo.value)
 
 
 def test_on_error_hook_recovers_inline():
     recovered = []
 
     def on_error(item, label, detail):
-        recovered.append((item, label))
+        # Runs in the coordinator, so it may close over local state.
+        recovered.append((item, label, os.getpid()))
         return -item
 
-    with ExecutorService(jobs=2, mode="thread") as service:
+    with ExecutorService(jobs=2) as service:
         results = service.map(
             _crash_on_three, [1, 3, 5], labels=["a", "b", "c"],
             on_error=on_error,
         )
     assert results == [1, -3, 5]
-    assert recovered == [(3, "b")]
-
-
-def test_thread_mode_runs_tasks_on_worker_threads():
-    seen = set()
-
-    def record(_):
-        seen.add(threading.current_thread().name)
-        return True
-
-    with ExecutorService(jobs=4, mode="thread") as service:
-        service.map(record, range(8))
-    assert threading.current_thread().name not in seen
+    assert recovered == [(3, "b", os.getpid())]
 
 
 def test_process_mode_crosses_process_boundary():
-    with ExecutorService(jobs=2, mode="process") as service:
+    with ExecutorService(jobs=2) as service:
         pids = service.map(_pid, range(4))
     assert os.getpid() not in pids
 
@@ -129,7 +113,7 @@ def _die_once_then_succeed(marker):
 def test_worker_death_retries_slice_on_fresh_worker():
     registry = MetricsRegistry()
     marker = os.path.join(tempfile.mkdtemp(), "died")
-    with ExecutorService(jobs=2, mode="process", metrics=registry) as service:
+    with ExecutorService(jobs=2, metrics=registry) as service:
         results = service.map(
             _die_once_then_succeed, [marker, marker], labels=["p0", "p1"]
         )
@@ -153,7 +137,7 @@ def test_repeated_worker_death_degrades_to_serial():
     # flag the degradation.  Serially, _always_die would kill the test
     # process itself, so degrade with a task that only dies in workers.
     registry = MetricsRegistry()
-    with ExecutorService(jobs=2, mode="process", metrics=registry) as service:
+    with ExecutorService(jobs=2, metrics=registry) as service:
         fault.arm("exec.worker_kill", times=8)
         try:
             results = service.map(_square, [2, 3], labels=["p0", "p1"])
@@ -174,7 +158,7 @@ def _stall_forever(n):
 
 def test_stalled_worker_hits_the_deadline_and_degrades():
     with ExecutorService(
-        jobs=2, mode="process", task_timeout=0.5, max_attempts=1
+        jobs=2, task_timeout=0.5, max_attempts=1
     ) as service:
         # Tasks stall only in pool workers (guarded by pid), so the
         # serial fallback completes.
@@ -194,7 +178,7 @@ def _stall_unless_pid(coordinator_pid):
 
 
 def test_close_is_idempotent_after_pool_breakage():
-    service = ExecutorService(jobs=2, mode="process")
+    service = ExecutorService(jobs=2)
     fault.arm("exec.worker_kill", times=8)
     try:
         service.map(_square, [1, 2])
@@ -217,7 +201,7 @@ def test_worker_kill_failpoint_never_fires_serially():
 
 
 def test_process_pool_persists_across_maps():
-    with ExecutorService(jobs=2, mode="process") as service:
+    with ExecutorService(jobs=2) as service:
         first = set(service.map(_pid, range(4)))
         pool = service._pool
         second = set(service.map(_pid, range(4)))

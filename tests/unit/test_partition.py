@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import CatalogError
@@ -71,13 +73,15 @@ class TestPartitionStatement:
     def test_catalog_queryable_and_persistent(self):
         db = make_db()
         db.execute("create r (id = i4, v = i4)")
-        db.execute('partition r by hash on id into 4 where parallel = "thread"')
+        db.execute(
+            'partition r by hash on id into 4 where parallel = "process"'
+        )
         db.execute("range of p is partitions")
         rows = db.execute(
             'retrieve (p.relname, p.method, p.parts, p.parallel) '
             'where p.relname = "r"'
         ).rows
-        assert rows == [("r", "hash", 4, "thread")]
+        assert rows == [("r", "hash", 4, "process")]
         meta = db.catalog.partition_for("r")
         assert meta is not None
         db.execute("partition r by hash on id into 1")
@@ -92,6 +96,94 @@ class TestPartitionStatement:
         db.execute("destroy r")
         for name in children:
             assert name not in db.pool._files
+
+
+PROCESS_2 = 'partition r by hash on id into 2 where parallel = "process"'
+
+
+def _loaded(rows: int, pad: bool = False):
+    db = make_db()
+    db.execute(
+        "create persistent interval r (id = i4, v = i4"
+        + (", pad = c40)" if pad else ")")
+    )
+    db.execute("range of x is r")
+    for i in range(rows):
+        db.execute(f"append to r (id = {i}, v = {i * 10})")
+    return db
+
+
+def _partition_rows(db):
+    db.execute("range of p is partitions")
+    return db.execute(
+        'retrieve (p.relname, p.parallel) where p.relname = "r"'
+    ).rows
+
+
+class TestParallelModes:
+    """``parallel = serial | process``: thread gather is gone."""
+
+    def test_thread_mode_refused_and_rows_kept(self):
+        db = _loaded(6)
+        before = sorted(db.execute("retrieve (x.id, x.v)").rows)
+        with pytest.raises(CatalogError) as excinfo:
+            db.execute(
+                'partition r by hash on id into 2 where parallel = "thread"'
+            )
+        assert "serial" in str(excinfo.value)
+        assert "process" in str(excinfo.value)
+        assert sorted(db.execute("retrieve (x.id, x.v)").rows) == before
+
+    def test_stored_thread_mode_loads_as_serial(self, tmp_path):
+        from repro.engine import persist
+
+        db = _loaded(12)
+        db.execute(PROCESS_2)
+        before = sorted(db.execute("retrieve (x.id, x.v)").rows)
+        root = tmp_path / "ckpt"
+        db.save(root)
+        db.relation("r").release()
+        # A checkpoint written while thread gather existed.
+        manifest_path = root / persist.MANIFEST
+        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        (entry,) = [e for e in manifest["relations"] if "partition" in e]
+        entry["partition"]["parallel"] = "thread"
+        manifest_path.write_text(json.dumps(manifest), encoding="ascii")
+
+        loaded = type(db).load(root)
+        assert loaded.relation("r").parallel == "serial"
+        assert _partition_rows(loaded) == [("r", "serial")]
+        assert sorted(loaded.execute("retrieve (x.id, x.v)").rows) == before
+
+
+class TestExplainNamesTheGather:
+    """EXPLAIN says ``process gather`` only where the kernel scatters."""
+
+    def test_kernel_aggregate_on_two_pages_says_process(self):
+        db = _loaded(6)
+        db.execute(PROCESS_2)
+        try:
+            assert db.relation("r").page_count == 2
+            text = "retrieve (c = count(x.id))"
+            plan = db.explain(text)
+            assert "[2 hash partitions, process gather]" in plan
+            before = db.metrics.counter_value("partition.kernel_pushdown")
+            assert db.execute(text).rows == [(6,)]
+            after = db.metrics.counter_value("partition.kernel_pushdown")
+            assert after == before + 1
+        finally:
+            db.relation("r").release()
+
+    def test_row_scan_on_process_relation_says_serial(self):
+        db = _loaded(200, pad=True)
+        db.execute(PROCESS_2)
+        try:
+            assert db.relation("r").page_count > 2
+            plan = db.explain("retrieve (x.id, x.v) where x.v > 100")
+            assert "[2 hash partitions, serial gather]" in plan
+            assert "process gather" not in plan
+        finally:
+            db.relation("r").release()
 
 
 class TestZoneMapMaintenance:
