@@ -8,7 +8,9 @@ fixed keyed -> secondary-index -> scan priority.
 
 This experiment replays the paper's benchmark matrix -- the eight
 database configurations x twelve queries x a sample of update counts --
-twice per cell, optimizer on and off, and scores the optimizer:
+twice per cell, once planned and once with the fixed strategy
+(``Planner.fixed_choice`` substituted for ``Planner.choose``), and
+scores the optimizer:
 
 * a cell is a **best pick** when the optimizer's plan reads no more
   pages than the fixed strategy's (the empirical best of the two);
@@ -51,15 +53,17 @@ SMOKE_UPDATE_COUNTS = (0, 2)
 
 
 def _measure_modes(bench, text):
-    """(optimizer-on cost, optimizer-off cost) for one query text."""
-    db = bench.db
-    costs = {}
-    for mode in (True, False):
-        db.optimizer_enabled = mode
-        db.planner.clear()
-        costs[mode] = measure_query(bench, text)
-    db.optimizer_enabled = True
-    return costs[True], costs[False]
+    """(planned cost, fixed-strategy cost) for one query text."""
+    planner = bench.db.planner
+    planner.clear()
+    planned = measure_query(bench, text)
+    planner.choose = planner.fixed_choice
+    try:
+        planner.clear()
+        fixed = measure_query(bench, text)
+    finally:
+        del planner.choose
+    return planned, fixed
 
 
 def run_matrix(tuples: int, update_counts=SMOKE_UPDATE_COUNTS):

@@ -284,8 +284,6 @@ def _cache_dir() -> pathlib.Path:
 
 
 def _cache_path(config: WorkloadConfig, max_update_count: int) -> pathlib.Path:
-    from repro.engine import planner
-
     blob = json.dumps(
         {
             "db_type": config.db_type.value,
@@ -296,7 +294,6 @@ def _cache_path(config: WorkloadConfig, max_update_count: int) -> pathlib.Path:
             "asof_qualifiers": config.asof_qualifiers,
             "buffers": config.buffers,
             "max_update_count": max_update_count,
-            "optimizer": bool(planner.DEFAULT_OPTIMIZER),
             "source": source_fingerprint(),
         },
         sort_keys=True,

@@ -69,23 +69,50 @@ from repro.tquel.semantics import Analyzer
 
 PLAN_CACHE_CAPACITY = 64
 
+# Each parsed statement's kind, looked up once by AST class when its
+# text is compiled; every other statement class is DDL ("ddl").
+_KINDS = {
+    ast.RetrieveStmt: "retrieve",
+    ast.AppendStmt: "append",
+    ast.ReplaceStmt: "replace",
+    ast.DeleteStmt: "delete",
+    ast.CopyStmt: "copy",
+    ast.RangeStmt: "range",
+}
+# The analyzed kinds: the Analyzer method that binds each and the
+# Executor method that runs it.  The rest go to ``_dispatch``.
+_ANALYZED = {
+    "retrieve": ("analyze_retrieve", "run_retrieve"),
+    "append": ("analyze_update", "run_append"),
+    "replace": ("analyze_update", "run_replace"),
+    "delete": ("analyze_update", "run_delete"),
+}
+# The kinds that write: exclusive relation latches, a fresh timestamp
+# and an undo scope.
+_WRITES = frozenset(("append", "replace", "delete", "copy"))
+
 
 class _PlanEntry:
     """One statement text's cached compilation.
 
     ``statements`` holds the parsed ASTs (parsing is pure, so they stay
-    valid forever); ``analyses`` holds, per statement, ``(epoch,
-    Analysis)`` once semantic analysis has run.  A cached analysis is
-    reused only while the database's catalog epoch is unchanged -- any
-    DDL or range-table change bumps the epoch and forces re-analysis.
+    valid forever) and ``kinds`` each one's kind from ``_KINDS``;
+    ``analyses`` holds, per statement, ``((epoch, ranges), Analysis)``
+    once semantic analysis has run.  A cached analysis is reused only
+    under the plan epoch and range table it was computed at -- DDL, a
+    range change, a bulk load or a vacuum bumps the epoch and forces
+    re-analysis.
     """
 
-    __slots__ = ("text", "statements", "analyses", "_fingerprints")
+    __slots__ = ("text", "statements", "kinds", "analyses", "_fingerprints")
 
     def __init__(self, text: str, statements: list):
         self.text = text
         self.statements = statements
-        self.analyses: "list[tuple[int, object] | None]" = (
+        self.kinds = [
+            _KINDS.get(type(statement), "ddl") for statement in statements
+        ]
+        self.analyses: "list[tuple[tuple, object] | None]" = (
             [None] * len(statements)
         )
         self._fingerprints: "list[str] | None" = None
@@ -148,7 +175,6 @@ class TemporalDatabase:
         clock: "Clock | None" = None,
         buffers_per_relation: int = 1,
         atomic_statements: bool = True,
-        optimizer: "bool | None" = None,
     ):
         self.name = name
         self.clock = clock if clock is not None else Clock()
@@ -159,17 +185,8 @@ class TemporalDatabase:
         # page count.
         self.atomic_statements = bool(atomic_statements)
         # The cost-based optimizer (repro.engine.planner): per statement
-        # variable the planner prices every feasible access path with the
-        # paper's Fig. 9 law and picks the cheapest.  ``False`` restores
-        # the fixed keyed-probe/index/scan strategy -- the differential
-        # tests compare the two.  ``None`` defers to the planner module's
-        # default (overridable with REPRO_OPTIMIZER, so subprocess
-        # benchmark workers inherit the choice).
-        if optimizer is None:
-            from repro.engine import planner as planner_module
-
-            optimizer = planner_module.DEFAULT_OPTIMIZER
-        self.optimizer_enabled = bool(optimizer)
+        # variable it prices every feasible access path with the paper's
+        # Fig. 9 law and picks the cheapest.
         from repro.engine.planner import Planner
 
         self.planner = Planner(self)
@@ -213,12 +230,12 @@ class TemporalDatabase:
         # Prepared-statement/plan cache: text -> _PlanEntry (LRU).
         self._plan_cache: "OrderedDict[str, _PlanEntry]" = OrderedDict()
         self._plan_cache_capacity = PLAN_CACHE_CAPACITY
-        self._catalog_epoch = 0
-        # Statistics epoch: bumped whenever catalog statistics move
-        # enough to invalidate planner decisions (DDL, bulk load,
-        # vacuum).  Part of every plan key, so a bump means no stale
-        # plan is ever served; persisted in checkpoint manifests.
-        self._stats_epoch = 0
+        # The plan epoch: bumped only by _invalidate_plans (DDL, range
+        # changes, bulk loads, vacuum).  Cached analyses and planner
+        # decisions are keyed on it, so a bump means no stale plan is
+        # ever served; persisted in checkpoint manifests as
+        # "stats_epoch".
+        self._epoch = 0
         # Multi-session concurrency (see repro.engine.concurrency):
         # per-relation read/write latches plus the catalog latch order
         # physical page access; the ambient SessionContext -- installed
@@ -603,7 +620,7 @@ class TemporalDatabase:
                 rows=kept,
             )
             self.pool.flush_all()
-            self.bump_stats_epoch()
+            self._invalidate_plans()
         return removed
 
     def destroy_relation(self, name: str) -> None:
@@ -644,11 +661,16 @@ class TemporalDatabase:
         """
         relation = self._require_user_relation(name)
         with self._atomic_scope():
-            count = mutate.load_rows(relation, list(rows), self.statement_now())
+            count = self._load_rows(relation, list(rows))
         self.pool.flush_statement()
-        # A bulk load moves tuple counts wholesale; expire cached
-        # planner decisions so the next execution re-prices its paths.
-        self.bump_stats_epoch()
+        return count
+
+    def _load_rows(self, relation, rows) -> int:
+        """Bulk-load *rows* (``copy_in`` and TQuel ``copy ... from``)."""
+        count = mutate.load_rows(relation, rows, self.statement_now())
+        # A bulk load moves tuple counts wholesale; expire cached plans
+        # so the next execution re-prices its paths.
+        self._invalidate_plans()
         return count
 
     def copy_out(self, name: str) -> "list[tuple]":
@@ -712,25 +734,35 @@ class TemporalDatabase:
         finished span is retrievable with
         ``tracer.take_adopted(trace_id)``.
         """
-        with self.trace_scope():
-            with self.tracer.statement(text, context=trace_context) as span:
-                cached = text in self._plan_cache
-                entry = self._plan_entry(text, span)
-                return self._run_entry(
-                    entry, span, params, plan_cache_hit=cached
-                )
+        return self._execute(text, None, params, trace_context)
 
-    def trace_scope(self):
-        """Forced-tracing scope while the slow-query log is armed.
+    def _execute(self, text, entry, params, trace_context):
+        """Run *text*'s statements under one statement span; one Result,
+        or a list for multi-statement input.
 
-        A statement only reveals itself as slow after it finishes, so
-        the full span tree the log captures must already exist; arming
-        the log (``REPRO_SLOW_QUERY_MS``) therefore bypasses the
-        sampling knob the way ``EXPLAIN ANALYZE`` does.
+        *entry* is a prepared statement's pinned compilation, or None to
+        take *text*'s plan-cache entry (compiling it on a miss).  A
+        statement only reveals itself as slow after it finishes, so
+        while the slow-query log is armed (``REPRO_SLOW_QUERY_MS``) the
+        span tree it captures must already exist: tracing is forced,
+        bypassing the sampling knob the way ``EXPLAIN ANALYZE`` does.
         """
-        if self.slowlog.enabled:
-            return self.tracer.force()
-        return nullcontext()
+        with self.tracer.force() if self.slowlog.enabled else nullcontext():
+            with self.tracer.statement(text, context=trace_context) as span:
+                if entry is None:
+                    plan_cache_hit = text in self._plan_cache
+                    entry = self._plan_entry(text, span)
+                else:
+                    # A pinned compilation is by definition a hit.
+                    span.annotate(prepared=True)
+                    plan_cache_hit = True
+                if not entry.statements:
+                    raise ExecutionError("no statement to execute")
+                results = [
+                    self._run(entry, index, span, params, plan_cache_hit)
+                    for index in range(len(entry.statements))
+                ]
+                return results[0] if len(results) == 1 else results
 
     def prepare(self, text: str):
         """Compile *text* into a reusable :class:`PreparedStatement`.
@@ -756,21 +788,15 @@ class TemporalDatabase:
         return nullcontext()
 
     def _invalidate_plans(self) -> None:
-        """DDL or range-table change: cached semantic analyses are stale."""
-        self._catalog_epoch += 1
-        # DDL moves catalog statistics too (structures rebuilt, indexes
-        # added, partitions created), so planner decisions expire with
-        # the analyses.
-        self.bump_stats_epoch()
+        """DDL, a range change, a bulk load or a vacuum: cached semantic
+        analyses and planner decisions are stale."""
+        self._epoch += 1
 
     @property
     def stats_epoch(self) -> int:
-        """The catalog-statistics epoch planner decisions are keyed on."""
-        return self._stats_epoch
-
-    def bump_stats_epoch(self) -> None:
-        """Catalog statistics moved: expire cached planner decisions."""
-        self._stats_epoch += 1
+        """The plan epoch cached analyses and planner decisions are
+        keyed on."""
+        return self._epoch
 
     def relation_stats(self, name: str) -> dict:
         """The catalog statistics the planner feeds the Fig. 9 model.
@@ -789,7 +815,7 @@ class TemporalDatabase:
             "fillfactor": relation.fillfactor,
             "key": relation.key_attribute,
             "indexes": sorted(relation.indexes),
-            "stats_epoch": self._stats_epoch,
+            "stats_epoch": self._epoch,
         }
         if getattr(relation, "is_partitioned", False):
             stats["partitions"] = relation.partition_count
@@ -822,54 +848,27 @@ class TemporalDatabase:
             )
         return entry
 
-    def _ranges_key(self) -> tuple:
-        """The visible range table as a hashable cache key (tiny)."""
-        return tuple(sorted(self.current_ranges.items()))
+    def _plan_scope(self) -> tuple:
+        """``(plan epoch, visible range table)``: what a cached analysis
+        or planner decision is valid under (sessions may hold private
+        range tables)."""
+        return (self._epoch, tuple(sorted(self.current_ranges.items())))
 
-    def _analysis_for(self, entry: _PlanEntry, index: int, span=NULL_SPAN):
-        """The (possibly cached) semantic analysis of one statement.
-
-        Analysis binds relations and range variables, so a cached result
-        is valid only at the catalog epoch -- and under the range table --
-        it was computed at (sessions may hold private range tables).
-        Returns ``None`` for statements that are not analyzed (DDL,
-        copy, ...).
-        """
-        statement = entry.statements[index]
-        if isinstance(statement, ast.RetrieveStmt):
-            analyze = self._analyzer.analyze_retrieve
-        elif isinstance(
-            statement, (ast.AppendStmt, ast.DeleteStmt, ast.ReplaceStmt)
-        ):
-            analyze = self._analyzer.analyze_update
-        else:
-            return None
-        ranges_key = self._ranges_key()
+    def _analysis_for(
+        self, entry: _PlanEntry, index: int, plan_scope: tuple,
+        span=NULL_SPAN,
+    ):
+        """The (possibly cached) semantic analysis of one analyzed
+        statement, valid under *plan_scope* (see :meth:`_plan_scope`)."""
         cached = entry.analyses[index]
-        if (
-            cached is not None
-            and cached[0] == self._catalog_epoch
-            and cached[1] == ranges_key
-        ):
+        if cached is not None and cached[0] == plan_scope:
             span.annotate(analysis="cached")
-            return cached[2]
+            return cached[1]
+        analyze = getattr(self._analyzer, _ANALYZED[entry.kinds[index]][0])
         with span.stage("semantics"):
-            analysis = analyze(statement)
-        entry.analyses[index] = (self._catalog_epoch, ranges_key, analysis)
+            analysis = analyze(entry.statements[index])
+        entry.analyses[index] = (plan_scope, analysis)
         return analysis
-
-    def _run_entry(
-        self, entry: _PlanEntry, span, params, plan_cache_hit: bool = False
-    ) -> "Result | list":
-        if not entry.statements:
-            raise ExecutionError("no statement to execute")
-        results = [
-            self._run(entry, index, span, params, plan_cache_hit)
-            for index in range(len(entry.statements))
-        ]
-        if len(results) == 1:
-            return results[0]
-        return results
 
     def _run(
         self,
@@ -880,18 +879,15 @@ class TemporalDatabase:
         plan_cache_hit: bool = False,
     ) -> Result:
         started = time.perf_counter()
-        statement = entry.statements[index]
+        kind = entry.kinds[index]
         ctx = self.session_context
         scope = ctx.session_id if ctx is not None else None
-        is_query = isinstance(statement, ast.RetrieveStmt)
-        is_update = isinstance(
-            statement,
-            (ast.AppendStmt, ast.DeleteStmt, ast.ReplaceStmt, ast.CopyStmt),
-        )
+        is_query = kind == "retrieve"
+        writes = kind in _WRITES
         if (
             ctx is not None
             and ctx.watermark is not None
-            and not (is_query or isinstance(statement, ast.RangeStmt))
+            and not (is_query or kind == "range")
         ):
             raise ExecutionError(
                 "session is pinned (read-only snapshot): unpin before "
@@ -907,10 +903,7 @@ class TemporalDatabase:
         # relation latches in sorted name order, shared for queries and
         # exclusive for updates.  Analysis runs under the catalog latch
         # (it binds against the catalog) and determines the relation set.
-        analyzed = is_query or isinstance(
-            statement, (ast.AppendStmt, ast.DeleteStmt, ast.ReplaceStmt)
-        )
-        ddl = not (is_query or is_update)
+        ddl = not (is_query or writes)
         catalog_latch = self.latches.catalog
         if ddl:
             catalog_latch.acquire_exclusive()
@@ -922,20 +915,24 @@ class TemporalDatabase:
         previous_time = getattr(self._ambient, "statement_time", None)
         degraded_before = self.metrics.counter_value("exec.degraded")
         try:
-            analysis = None
-            if analyzed:
-                analysis = self._analysis_for(entry, index, span)
-                names = self._statement_relations(statement, analysis)
-                statement_names = names
-                for name in sorted(names):
+            analysis = plan_scope = None
+            if kind in _ANALYZED:
+                plan_scope = self._plan_scope()
+                analysis = self._analysis_for(entry, index, plan_scope, span)
+                statement_names = self._statement_relations(
+                    entry, index, analysis
+                )
+                for name in sorted(statement_names):
                     latch = self.latches.latch_for(name)
-                    if is_update:
+                    if writes:
                         latch.acquire_exclusive()
                     else:
                         latch.acquire_shared()
                     held.append(latch)
-            elif isinstance(statement, ast.CopyStmt):
-                latch = self.latches.latch_for(statement.relation)
+            elif kind == "copy":
+                latch = self.latches.latch_for(
+                    entry.statements[index].relation
+                )
                 latch.acquire_exclusive()
                 held.append(latch)
             # The statement's timestamp, fixed exactly once and only now
@@ -950,7 +947,7 @@ class TemporalDatabase:
             # stamp in flight; the query's shared latches exclude
             # in-flight writers on every relation it reads, so the
             # higher read point is still prefix-consistent.
-            if is_update:
+            if writes:
                 stamp = self.clock.begin_statement()
                 self._ambient.statement_time = stamp
                 if ctx is not None:
@@ -966,11 +963,11 @@ class TemporalDatabase:
             with self.stats.scoped(scope):
                 before = self.stats.checkpoint(scope)
                 runner = self._planned_runner(
-                    entry, index, span, params, analysis
+                    entry, index, span, params, analysis, plan_scope
                 )
                 try:
                     with span.stage("execute"):
-                        if is_update:
+                        if writes:
                             # Update statements are atomic: any failure
                             # inside the runner rolls back every physical
                             # write before the exception escapes.  The
@@ -999,7 +996,7 @@ class TemporalDatabase:
             self._ambient.statement_time = previous_time
             if stamp is not None:
                 self.clock.end_statement(stamp)
-            elif is_update:
+            elif writes:
                 # An update refused before its stamp was allocated
                 # (analysis failure, say) still consumes its tick: the
                 # clock counts update *attempts*, so the timestamps of
@@ -1008,7 +1005,7 @@ class TemporalDatabase:
                 self.clock.advance()
             while held:
                 latch = held.pop()
-                if is_update or isinstance(statement, ast.CopyStmt):
+                if writes:
                     latch.release_exclusive()
                 else:
                     latch.release_shared()
@@ -1028,9 +1025,8 @@ class TemporalDatabase:
         )
         # Update statements advance the per-relation update count -- the
         # paper's n, which the stats store's Fig. 9 model predicts with.
-        if isinstance(
-            statement, (ast.AppendStmt, ast.DeleteStmt, ast.ReplaceStmt)
-        ):
+        # (A copy's relation set stays empty: a bulk load is no update.)
+        if writes:
             for name in statement_names:
                 self._update_counts[name] = (
                     self._update_counts.get(name, 0) + 1
@@ -1040,13 +1036,13 @@ class TemporalDatabase:
             self.metrics.counter_value("exec.degraded") > degraded_before
         )
         self._record_statement_stats(
-            entry, index, statement, result, span, elapsed,
+            entry, index, is_query, result, span, elapsed,
             plan_cache_hit, degraded,
         )
         return result
 
     def _record_statement_stats(
-        self, entry, index, statement, result, span, elapsed,
+        self, entry, index, is_query, result, span, elapsed,
         plan_cache_hit, degraded,
     ) -> None:
         """Fold one finished statement into the query-statistics store
@@ -1057,7 +1053,7 @@ class TemporalDatabase:
         """
         io = result.io
         update_count = growth = None
-        if isinstance(statement, ast.RetrieveStmt) and io.input_pages > 0:
+        if is_query and io.input_pages > 0:
             update_count, growth = self._prediction_inputs(io)
         fp = entry.fingerprint(index)
         predicted = self.query_stats.record(
@@ -1088,7 +1084,7 @@ class TemporalDatabase:
                 # time so the logged tree is complete.
                 trace["duration_ms"] = elapsed * 1000.0
             plan = None
-            if isinstance(statement, ast.RetrieveStmt):
+            if is_query:
                 try:
                     plan = self.explain(entry.text)
                 except Exception:
@@ -1152,55 +1148,40 @@ class TemporalDatabase:
         return n, growth
 
     @staticmethod
-    def _statement_relations(statement, analysis) -> "set[str]":
+    def _statement_relations(entry, index, analysis) -> "set[str]":
         """The relation names an analyzed statement reads or writes."""
         names = {
             info.relation.schema.name for info in analysis.vars.values()
         }
-        if isinstance(statement, ast.AppendStmt):
-            names.add(statement.relation)
+        if entry.kinds[index] == "append":
+            names.add(entry.statements[index].relation)
         return names
 
     def _planned_runner(
-        self, entry: _PlanEntry, index: int, span, params, analysis=None
+        self, entry: _PlanEntry, index: int, span, params, analysis,
+        plan_scope,
     ):
         """Resolve one statement to a zero-argument execution callable.
 
-        Query and update statements are analyzed (span stage
-        ``semantics``, cached across executions) and planned (stage
-        ``plan``: Executor construction resolves the as-of period and
-        access-path state); everything else dispatches directly.
+        An analyzed statement (*analysis* from :meth:`_analysis_for`
+        under *plan_scope*) is planned -- span stage ``plan``: Executor
+        construction resolves the as-of period and access-path state --
+        and runs through its kind's Executor method; anything else
+        (``analysis`` None) dispatches directly.
         """
-        statement = entry.statements[index]
-        if isinstance(
-            statement,
-            (ast.RetrieveStmt, ast.AppendStmt, ast.DeleteStmt,
-             ast.ReplaceStmt),
-        ):
-            if analysis is None:
-                analysis = self._analysis_for(entry, index, span)
-            with span.stage("plan"):
-                # The plan cache keys on (fingerprint, range table,
-                # catalog epoch, stats epoch): the planner's cached
-                # access-path decisions expire whenever DDL or bulk
-                # loads move the statistics they priced.
-                plan_key = (
-                    entry.fingerprint(index),
-                    self._ranges_key(),
-                    self._catalog_epoch,
-                    self._stats_epoch,
-                )
-                executor = Executor(
-                    self, analysis, params=params, plan_key=plan_key
-                )
-            if isinstance(statement, ast.RetrieveStmt):
-                return executor.run_retrieve
-            if isinstance(statement, ast.AppendStmt):
-                return executor.run_append
-            if isinstance(statement, ast.DeleteStmt):
-                return executor.run_delete
-            return executor.run_replace
-        return lambda: self._dispatch(statement)
+        if analysis is None:
+            statement = entry.statements[index]
+            return lambda: self._dispatch(statement)
+        with span.stage("plan"):
+            # The planner's cached access-path decisions key on the
+            # statement fingerprint and the plan scope, so they expire
+            # whenever DDL, a bulk load or a vacuum moves the
+            # statistics they priced.
+            executor = Executor(
+                self, analysis, params=params,
+                plan_key=(entry.fingerprint(index), plan_scope),
+            )
+        return getattr(executor, _ANALYZED[entry.kinds[index]][1])
 
     def _dispatch(self, statement) -> Result:
         if isinstance(statement, ast.RangeStmt):
@@ -1301,8 +1282,9 @@ class TemporalDatabase:
                     rows.append(
                         self._parse_copy_line(schema, line, line_number)
                     )
-            count = mutate.load_rows(relation, rows, self.statement_now())
-            return Result(kind="copy", count=count)
+            return Result(
+                kind="copy", count=self._load_rows(relation, rows)
+            )
         with open(statement.path, "w", encoding="ascii") as handle:
             count = 0
             for row in relation.all_rows():

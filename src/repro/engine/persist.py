@@ -333,7 +333,7 @@ def save(db, path) -> None:
         # Absent on older checkpoints -- load() treats the key as
         # optional.
         manifest["catalogstats"] = {
-            "stats_epoch": getattr(db, "_stats_epoch", 0),
+            "stats_epoch": getattr(db, "stats_epoch", 0),
             "update_counts": {
                 name: count
                 for name, count in sorted(update_counts.items())
@@ -715,7 +715,7 @@ def load(path, database_class=None, salvage: bool = False):
         db._update_counts.clear()
         for name, count in catalog_stats.get("update_counts", {}).items():
             db._update_counts[name] = int(count)
-        db._stats_epoch = int(catalog_stats.get("stats_epoch", 0))
+        db._epoch = int(catalog_stats.get("stats_epoch", 0))
     if salvage:
         db.salvage_report = report
     recorder = getattr(db, "recorder", None)

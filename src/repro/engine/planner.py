@@ -1,10 +1,10 @@
 """The cost-based optimizer: Fig. 9's law choosing access paths.
 
-ROADMAP item 1: the paper *validates* an analytical cost model
-(``cost = fixed + variable * (1 + growth_rate * n)``, Section 5.3 /
-Fig. 9); this module turns it into a working planner.  Per statement
-variable, the planner enumerates every feasible access path -- keyed
-probe of the primary structure (hash bucket chain, ISAM directory
+The paper *validates* an analytical cost model (``cost = fixed +
+variable * (1 + growth_rate * n)``, Section 5.3 / Fig. 9); this module
+turns it into the engine's one way to choose an access path.  Per
+statement variable, the planner enumerates every feasible access path --
+keyed probe of the primary structure (hash bucket chain, ISAM directory
 descent, B-tree root-to-leaf walk, two-level split read), secondary-
 index lookup, and sequential scan (with zone-map and partition
 pruning) -- prices each with :mod:`repro.engine.cost` from catalog
@@ -12,21 +12,22 @@ statistics only (page/bucket/directory counts, tuple and update counts,
 fillfactor, per-partition transaction bounds; never a metered page), and
 picks the cheapest.
 
-Near-ties go to the fixed strategy the engine always used (keyed probe,
-then secondary index, then scan): an alternative is chosen only when it
-wins by more than the model's error bar (``RATIO_TOLERANCE``), so with
-uniform costs the optimizer is plan-for-plan identical to
-``REPRO_OPTIMIZER=off`` -- the differential test harness compares the
-two modes row-for-row.
+Near-ties go to the fixed strategy of the paper's prototype (keyed
+probe, then secondary index, then scan): an alternative is chosen only
+when it wins by more than the model's error bar (``RATIO_TOLERANCE``),
+so with uniform costs the planner is plan-for-plan identical to that
+strategy.  :meth:`Planner.fixed_choice` keeps the strategy itself as a
+reference with :meth:`Planner.choose`'s signature; the differential
+tests and ``benchmarks/bench_ext_optimizer.py`` substitute it for
+``choose`` to compare the two.
 
-Decisions are cached per ``(statement fingerprint, range table, catalog
-epoch, stats epoch)``; any DDL or bulk load bumps an epoch, so no stale
-plan is ever served.
+Decisions are cached per ``(statement fingerprint, (epoch, range
+table))``; DDL, a range change, a bulk load or a vacuum bumps the
+database's one plan epoch, so no stale plan is ever served.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -37,13 +38,6 @@ from repro.engine.cost import (
     keyed_cost,
     scan_cost,
 )
-
-# The optimizer is on by default; REPRO_OPTIMIZER=off (or 0/false)
-# restores the fixed keyed-probe/index/scan strategy everywhere --
-# subprocess benchmark workers inherit the choice via the environment.
-DEFAULT_OPTIMIZER = os.environ.get(
-    "REPRO_OPTIMIZER", "on"
-).strip().lower() not in ("off", "0", "false")
 
 # Decision-cache capacity (decisions are tiny tuples).
 DECISION_CACHE_CAPACITY = 256
@@ -84,8 +78,8 @@ class Planner:
 
     def __init__(self, db):
         self._db = db
-        # (fingerprint, ranges, catalog epoch, stats epoch, var, bound)
-        # -> frozen AccessChoice.
+        # ((fingerprint, (epoch, ranges)), var, bound) -> frozen
+        # AccessChoice.
         self._decisions: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # -- introspection -----------------------------------------------------
@@ -104,8 +98,8 @@ class Planner:
 
         *executor* supplies the statement's key-equality conjuncts and
         per-variable currency/as-of state; *plan_key* (the statement
-        fingerprint + range table + epochs) keys the decision cache and
-        is None for uncached planning (EXPLAIN).
+        fingerprint + plan epoch + range table) keys the decision cache
+        and is None for uncached planning (EXPLAIN).
         """
         cache_key = None
         if plan_key is not None:
@@ -123,9 +117,15 @@ class Planner:
                 self._decisions.popitem(last=False)
         return choice
 
-    def fixed_choice(self, executor, var: str, bound) -> AccessChoice:
-        """The fixed strategy (optimizer off), unpriced: a keyed probe of
-        the primary structure, else a secondary index, else a scan."""
+    def fixed_choice(
+        self, executor, var: str, bound, plan_key=None
+    ) -> AccessChoice:
+        """The fixed strategy, unpriced and uncached: a keyed probe of
+        the primary structure, else a secondary index, else a scan.
+
+        The reference the planner is measured against: tests and
+        benchmarks substitute it for :meth:`choose` (same signature).
+        """
         relation = executor._sources[var].relation
         positions = [
             position for position, _ in executor._find_key_equality(var, bound)

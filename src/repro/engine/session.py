@@ -40,7 +40,7 @@ import os
 from contextlib import contextmanager
 
 from repro.engine.concurrency import SessionContext
-from repro.engine.database import TemporalDatabase
+from repro.engine.database import _ANALYZED, TemporalDatabase
 from repro.errors import ExecutionError, TQuelSemanticError, UnknownRelationError
 
 
@@ -67,12 +67,15 @@ class PreparedStatement:
         self._session = session
         self.text = text
         with self._scope():
-            self._entry = database._plan_entry(text)
-            for index in range(len(self._entry.statements)):
+            self._entry = entry = database._plan_entry(text)
+            plan_scope = database._plan_scope()
+            for index, kind in enumerate(entry.kinds):
+                if kind not in _ANALYZED:
+                    continue
                 try:
-                    database._analysis_for(self._entry, index)
+                    database._analysis_for(entry, index, plan_scope)
                 except (TQuelSemanticError, UnknownRelationError):
-                    if len(self._entry.statements) == 1:
+                    if len(entry.statements) == 1:
                         raise
                     # Dependent script: analyze this one lazily at execution.
                     break
@@ -92,16 +95,8 @@ class PreparedStatement:
         """Run the prepared statement(s); Result or list of Results."""
         db = self._db
         db.metrics.inc("plancache.prepared_executions")
-        with self._scope(), db.trace_scope():
-            with db.tracer.statement(
-                self.text, context=trace_context
-            ) as span:
-                span.annotate(prepared=True)
-                # The compilation is pinned on this object -- every
-                # execution is by definition a plan-cache hit.
-                return db._run_entry(
-                    self._entry, span, params, plan_cache_hit=True
-                )
+        with self._scope():
+            return db._execute(self.text, self._entry, params, trace_context)
 
     def executemany(self, param_sets) -> list:
         """Run once per parameter set; the compiled plan is reused."""

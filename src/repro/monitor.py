@@ -30,9 +30,8 @@ Statements are plain TQuel; meta-commands start with a backslash:
 ``\\slowlog``   show the slow-query log (``\\slowlog 5``; ``clear``
                empties it; enable with ``REPRO_SLOW_QUERY_MS``)
 ``\\planner``   cost-based optimizer state: stats epoch, decision-cache
-               size and counters (``on``/``off`` toggles the optimizer;
-               ``\\planner emp`` shows the catalog statistics the cost
-               model sees for one relation)
+               size and counters (``\\planner emp`` shows the catalog
+               statistics the cost model sees for one relation)
 ``\\metrics``   show engine metrics and the buffer-pool hit rate
                (``reset`` clears metrics and trace history; ``storage``
                refreshes page/overflow-chain gauges first)
@@ -309,11 +308,6 @@ class Monitor:
 
     def _planner_command(self, args: "list[str]") -> None:
         db = self.db
-        if args and args[0] in ("on", "off"):
-            db.optimizer_enabled = args[0] == "on"
-            db.planner.clear()
-            self._print(f"optimizer {args[0]}")
-            return
         if args:
             # \planner name: the catalog statistics the cost model sees.
             name = args[0]
@@ -325,8 +319,6 @@ class Monitor:
             for key in sorted(stats):
                 self._print(f"  {key}: {stats[key]}")
             return
-        state = "on" if db.optimizer_enabled else "off"
-        self._print(f"  optimizer: {state}")
         self._print(f"  stats epoch: {db.stats_epoch}")
         self._print(f"  cached decisions: {db.planner.cached_decisions}")
         for counter in ("planner.decisions", "planner.cache_hits",

@@ -21,7 +21,6 @@ the seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -77,13 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "full = all structure x atomic cells",
     )
     parser.add_argument(
-        "--optimizer",
-        choices=("on", "off", "both"),
-        default="on",
-        help="cost-based optimizer axis: on (default), off = fixed "
-        "access-path strategy, both = run every config both ways",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes for seeds"
     )
     parser.add_argument(
@@ -132,22 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _optimizer_matrix(matrix, mode: str):
-    """Expand *matrix* along the optimizer axis."""
-    if mode == "on":
-        return matrix
-    off = tuple(
-        dataclasses.replace(config, optimizer=False) for config in matrix
-    )
-    if mode == "off":
-        return off
-    return tuple(matrix) + off
-
-
 def _seed_worker(packed):
-    seed, ops, profile, db_type, matrix_name, optimizer = packed
+    seed, ops, profile, db_type, matrix_name = packed
     matrix = CONFIG_MATRIX if matrix_name == "full" else QUICK_MATRIX
-    matrix = _optimizer_matrix(matrix, optimizer)
     reports = run_seed(
         seed, ops=ops, profile=profile, db_type=db_type, matrix=matrix
     )
@@ -177,8 +156,7 @@ def _handle_divergence(report, args, out) -> None:
 def _fuzz(args, out) -> int:
     started = time.monotonic()
     packed = [
-        (seed, args.ops, args.profile, args.type, args.matrix,
-         args.optimizer)
+        (seed, args.ops, args.profile, args.type, args.matrix)
         for seed in args.seed
     ]
     divergences = 0

@@ -12,7 +12,6 @@ replay needs:
     -- clock_tick: 3600
     -- structure: btree
     -- atomic: off
-    -- optimizer: on
 
     create persistent interval r0 (id = i4, a0 = i4)
     modify r0 to btree on id
@@ -52,7 +51,6 @@ def write_case(path, report: RunReport) -> Path:
         f"-- clock_tick: {workload.clock_tick}",
         f"-- structure: {config.structure}",
         f"-- atomic: {'on' if config.atomic else 'off'}",
-        f"-- optimizer: {'on' if config.optimizer else 'off'}",
     ]
     if report.divergence is not None:
         lines.append(f"-- diverges: {report.divergence.kind}")
@@ -90,7 +88,6 @@ def read_case(path) -> "tuple[Workload, Config, dict]":
     config = Config(
         structure=meta.get("structure", "heap"),
         atomic=_FLAGS.get(meta.get("atomic", "on"), True),
-        optimizer=_FLAGS.get(meta.get("optimizer", "on"), True),
     )
     return workload, config, meta
 

@@ -50,17 +50,10 @@ class Config:
 
     structure: str = "heap"
     atomic: bool = True
-    optimizer: bool = True
 
     @property
     def label(self) -> str:
-        # The optimizer segment only appears when the default is
-        # overridden, so pre-optimizer labels stay stable.
-        suffix = "" if self.optimizer else "/optimizer=off"
-        return (
-            f"{self.structure}/"
-            f"atomic={'on' if self.atomic else 'off'}{suffix}"
-        )
+        return f"{self.structure}/atomic={'on' if self.atomic else 'off'}"
 
 
 CONFIG_MATRIX = tuple(
@@ -235,7 +228,6 @@ def run_workload(
             "sim",
             clock=Clock(start=workload.clock_start, tick=workload.clock_tick),
             atomic_statements=config.atomic,
-            optimizer=config.optimizer,
         )
     )
     oracle = Oracle(start=workload.clock_start, tick=workload.clock_tick)

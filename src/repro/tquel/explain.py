@@ -12,10 +12,10 @@ narration for any retrieve:
 * each loop depth's access path -- keyed (hash/ISAM), secondary index, or
   sequential scan -- and whether enhanced structures serve it from
   current data only;
-* with the cost-based optimizer on, a ``cost:`` section pricing the
-  chosen path and every rejected alternative in predicted page reads
-  (the Fig. 9 model over catalog statistics), and -- under ANALYZE --
-  predicted versus actually-metered pages.
+* a ``cost:`` section pricing the chosen path and every rejected
+  alternative in predicted page reads (the Fig. 9 model over catalog
+  statistics), and -- under ANALYZE -- predicted versus
+  actually-metered pages.
 
 The plan is derived with the executor's own decision procedures, so what
 EXPLAIN prints is what execution does; nothing is read or written.
@@ -212,11 +212,8 @@ def explain(db, text: str, analyze: bool = False) -> str:
         lines.append("  deduplicate result rows")
     if statement.into is not None:
         lines.append(f"  store result into {statement.into}")
-    if getattr(db, "optimizer_enabled", False):
-        if choices:
-            lines.extend(_cost_lines(choices))
-    else:
-        lines.append("  cost: optimizer off (fixed access-path strategy)")
+    if choices:
+        lines.extend(_cost_lines(choices))
     if analyze:
         predicted = None
         if len(analysis.vars) == 1 and len(choices) == 1:

@@ -93,14 +93,11 @@ class Executor:
         self._temps = []
         self._conjuncts: "list[Conjunct]" = analysis.where + analysis.when
         self._consumed: "set[int]" = set()
-        # Access-path selection (repro.engine.planner): with the optimizer
-        # on, the planner prices the keyed/index/scan paths and plan_key
-        # (statement fingerprint + range table + catalog/stats epochs)
-        # keys its decision cache; with it off, the planner's fixed
-        # strategy decides.
+        # Access-path selection (repro.engine.planner): the planner
+        # prices the keyed/index/scan paths; plan_key (statement
+        # fingerprint + plan epoch + range table) keys its decision cache.
         self._plan_key = plan_key
         self._planner = database.planner
-        self._optimize = database.optimizer_enabled
         self._asof_period = self._resolve_asof()
         for name, info in analysis.vars.items():
             self._sources[name] = _VarSource(
@@ -276,11 +273,8 @@ class Executor:
         return None
 
     def access_choice(self, var: str, bound: "set[str]"):
-        """The access path for *var*: the planner's priced pick with the
-        optimizer on, its fixed keyed/index/scan strategy with it off."""
-        if self._optimize:
-            return self._planner.choose(self, var, bound, self._plan_key)
-        return self._planner.fixed_choice(self, var, bound)
+        """The access path for *var*: the planner's priced pick."""
+        return self._planner.choose(self, var, bound, self._plan_key)
 
     def _planned_source(self, choice, var: str, bound: "set[str]",
                         ahead: bool):

@@ -339,16 +339,16 @@ CASES = [
     ),
 ]
 
-# (name, db_type, structure, atomic, optimizer, statements) --
-# cases that exercise the cost-based optimizer's decisions (or pin the
-# fixed strategy with optimizer off) on workloads where the two differ.
+# Cases on workloads where the cost-based optimizer's decisions and the
+# fixed strategy's differ; 13 and 16 were written to pin the fixed
+# strategy, and tests/property/test_optimizer_differential.py replays
+# them with Planner.fixed_choice substituted for Planner.choose.
 OPTIMIZER_CASES = [
     (
-        "13-static-hash-optoff",
+        "13-static-hash",
         "static",
         "hash",
         True,
-        False,
         [
             'create hrel (id = i4, seq = i4, amount = i4)',
             'modify hrel to hash on id',
@@ -368,7 +368,6 @@ OPTIMIZER_CASES = [
         "14-temporal-isam-optscan",
         "temporal",
         "isam",
-        True,
         True,
         [
             'create persistent interval hrel (id = i4, seq = i4, '
@@ -392,7 +391,6 @@ OPTIMIZER_CASES = [
         "historical",
         "hash",
         True,
-        True,
         [
             'create interval hrel (id = i4, seq = i4, amount = i4)',
             'modify hrel to hash on id',
@@ -414,10 +412,9 @@ OPTIMIZER_CASES = [
         ],
     ),
     (
-        "16-rollback-twolevel-optoff",
+        "16-rollback-twolevel",
         "rollback",
         "twolevel",
-        False,
         False,
         [
             'create persistent hrel (id = i4, seq = i4, amount = i4)',
@@ -429,7 +426,7 @@ OPTIMIZER_CASES = [
             'append to hrel (id = 1, seq = 10, amount = 2)',
             'append to hrel (id = 2, seq = 20, amount = 1)',
             'append to irel (id = 1, seq = 11, amount = 2)',
-            # Fixed two-level currency behavior under optimizer off.
+            # Fixed two-level currency behavior under the fixed strategy.
             'retrieve (h.id, i.id, i.amount) where h.id = i.amount '
             'as of "now"',
             'retrieve (h.id, h.seq) where h.id = 2 as of "now"',
@@ -441,13 +438,9 @@ OPTIMIZER_CASES = [
 
 def build() -> int:
     failures = 0
-    cases = [
-        (name, db_type, structure, atomic, True, texts)
-        for name, db_type, structure, atomic, texts in CASES
-    ] + OPTIMIZER_CASES
-    for number, (
-        name, db_type, structure, atomic, optimizer, texts
-    ) in enumerate(cases, start=1):
+    for number, (name, db_type, structure, atomic, texts) in enumerate(
+        CASES + OPTIMIZER_CASES, start=1
+    ):
         workload = Workload(
             seed=number,
             db_type=db_type,
@@ -457,9 +450,7 @@ def build() -> int:
             clock_tick=DEFAULT_CLOCK_TICK,
             statements=[parse_statement(text) for text in texts],
         )
-        config = Config(
-            structure=structure, atomic=atomic, optimizer=optimizer,
-        )
+        config = Config(structure=structure, atomic=atomic)
         report = run_workload(workload, config, inject_modifies=False)
         if report.divergence is not None:
             print(f"{name}: DIVERGES\n{report.divergence}")

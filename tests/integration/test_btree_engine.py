@@ -1,5 +1,7 @@
 """Integration tests: B-tree relations through the full engine."""
 
+import random
+
 import pytest
 
 from repro.engine.integrity import check_relation
@@ -113,6 +115,27 @@ class TestBTreeDeletion:
         survivors = db.execute("retrieve (e.probe, e.value)").rows
         assert len(survivors) == 8
         assert all(row[1] != 0 for row in survivors)
+
+
+class TestBTreeGrowth:
+    def test_internal_nodes_split_below_the_root(self, db):
+        """A c200 key leaves room for 4 entries per internal page, so
+        300 appends in shuffled key order split internal nodes under
+        the root as well as the root itself."""
+        db.execute("create wide (k = c200, v = i4)")
+        db.execute("modify wide to btree on k")
+        db.execute("range of w is wide")
+        numbers = list(range(300))
+        random.Random(40).shuffle(numbers)
+        for n in numbers:
+            db.execute(f'append to wide (k = "k{n:03d}", v = {n})')
+        assert db.relation("wide").storage.height >= 3
+        for n in range(0, 300, 7):
+            result = db.execute(f'retrieve (w.v) where w.k = "k{n:03d}"')
+            assert [row[0] for row in result.rows] == [n]
+        rows = db.execute("retrieve (w.k, w.v)").rows
+        assert [row[1] for row in rows] == list(range(300))
+        assert check_relation(db.relation("wide")) == []
 
 
 class TestBTreeRestrictions:

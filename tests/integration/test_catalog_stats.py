@@ -1,11 +1,13 @@
 """Catalog-statistics invariants for the cost-based optimizer.
 
 The planner prices plans from catalog statistics -- tuple counts, update
-counts, the stats epoch.  Two invariants keep those statistics honest:
+counts, the plan epoch (``stats_epoch``).  Two invariants keep those
+statistics honest:
 
 * they survive a checkpoint ``save`` -> ``load`` round trip, so a
   restored database plans with the same costs it had before the crash;
-* bumping the stats epoch (DDL, bulk load, vacuum) invalidates cached
+* advancing the epoch (DDL, range changes, bulk loads through
+  ``copy_in`` or TQuel ``copy ... from``, vacuum) invalidates cached
   planner decisions, so no stale plan outlives the statistics that
   justified it.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FOREVER, Clock, TemporalDatabase, parse_temporal
+from repro.tquel.explain import explain
 
 MAR1_1980 = parse_temporal("3/1/80")
 JAN15_1980 = parse_temporal("1/15/80")
@@ -30,9 +33,7 @@ def _rows(first, last):
 
 @pytest.fixture
 def db():
-    db = TemporalDatabase(
-        "catstats", clock=Clock(start=MAR1_1980, tick=60), optimizer=True
-    )
+    db = TemporalDatabase("catstats", clock=Clock(start=MAR1_1980, tick=60))
     db.execute(
         "create persistent interval emp (id = i4, dept = i4, pad = c40)"
     )
@@ -84,7 +85,7 @@ def test_bulk_load_bumps_epoch_and_invalidates_plans(db):
     assert db.metrics.counter_value("planner.cache_misses") == misses + 1
 
 
-def test_ddl_and_vacuum_bump_stats_epoch(db):
+def test_ddl_and_vacuum_advance_stats_epoch(db):
     epoch = db.stats_epoch
     db.execute("index on emp is dix (dept)")
     assert db.stats_epoch > epoch
@@ -94,6 +95,47 @@ def test_ddl_and_vacuum_bump_stats_epoch(db):
         db.execute(f"delete e where e.id = {i}")
     db.vacuum_relation("emp", db.clock.now())
     assert db.stats_epoch > epoch
+
+
+def test_tquel_copy_from_invalidates_plans(tmp_path):
+    """A TQuel ``copy ... from`` is a bulk load like ``copy_in``: it
+    advances the epoch, the next execution re-prices, and the path it
+    runs is the one EXPLAIN prints."""
+    db = TemporalDatabase("tqcopy", clock=Clock(start=MAR1_1980, tick=60))
+    db.execute("create persistent interval r (k = i4, v = i4)")
+    db.execute("modify r to isam on k")
+    db.execute("range of x is r")
+    db.execute("append to r (k = 1, v = 1)")
+    text = "retrieve (x.v) where x.k = 5"
+    # One row: the planner scans rather than descend the directory.
+    assert "via sequential scan" in explain(db, text)
+    db.execute(text)
+
+    path = tmp_path / "rows.txt"
+    path.write_text(
+        "".join(f"{k}\t{k}\n" for k in range(2, 3000)), encoding="ascii"
+    )
+    epoch = db.stats_epoch
+    db.execute(f'copy r from "{path}"')
+    assert db.stats_epoch > epoch
+
+    misses = db.metrics.counter_value("planner.cache_misses")
+    ran_paths = []
+    choose = db.planner.choose
+
+    def recording_choose(executor, var, bound, plan_key):
+        choice = choose(executor, var, bound, plan_key)
+        ran_paths.append(choice.kind)
+        return choice
+
+    db.planner.choose = recording_choose
+    db.pool.flush_all()
+    ran = db.execute(text)
+    del db.planner.choose
+    assert db.metrics.counter_value("planner.cache_misses") == misses + 1
+    assert ran_paths == ["keyed"]
+    assert "via keyed isam access on k" in explain(db, text)
+    assert [row[0] for row in ran.rows] == [5]
 
 
 def test_update_counts_feed_relation_stats(db):

@@ -84,7 +84,6 @@ def observe(db_type, structure, buffers, atomic) -> "list[dict]":
         clock=Clock(start=parse_temporal("3/1/80"), tick=60),
         buffers_per_relation=buffers,
         atomic_statements=atomic,
-        optimizer=True,
     )
     db.execute(CREATE[db_type])
     db.copy_in("r", [(i, i * 10, i % 6, "p") for i in range(1, 25)])

@@ -1,23 +1,25 @@
 """Plan-equivalence differential testing of the cost-based optimizer.
 
 The optimizer (``repro.engine.planner``) chooses access paths from the
-Fig. 9 cost model; the fixed strategy takes the keyed -> secondary-index
--> scan priority unconditionally.  Whatever the choice, the *answer*
-must be identical: an access path is a physical decision, never a
-semantic one.
+Fig. 9 cost model; the fixed strategy (``Planner.fixed_choice``, the
+reference substituted for ``Planner.choose`` here) takes the keyed ->
+secondary-index -> scan priority unconditionally.  Whatever the choice,
+the *answer* must be identical: an access path is a physical decision,
+never a semantic one.
 
 Three layers of checking:
 
 * Hypothesis scenarios across all five access methods, with and without
   partitioning and secondary indexes: every query returns identical
-  rows under ``optimizer=True`` and ``optimizer=False``, mutations land
+  rows under the planner and under the fixed strategy, mutations land
   identically, and the optimizer's metered pages stay within the model
   tolerance of the fixed strategy's (it may only beat it or tie, plus
   the allowed modeling slack).
 
-* Seeded sim workloads replayed through the differential harness with
-  the optimizer on and off: both runs must agree with the independent
-  oracle on every statement.
+* Seeded sim workloads and the corpus cases written to pin the fixed
+  strategy, replayed through the differential harness: under the
+  planner and under the fixed strategy every run must agree with the
+  independent oracle on every statement.
 
 * Predicted-vs-actual: for single-variable statements the Fig. 9
   prediction printed by EXPLAIN ANALYZE must match the metered pages
@@ -26,12 +28,14 @@ Three layers of checking:
 
 from __future__ import annotations
 
-import dataclasses
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro import FOREVER, Clock, TemporalDatabase, parse_temporal
 from repro.engine.cost import RATIO_TOLERANCE
+from repro.engine.planner import Planner
+from repro.sim.corpus import replay_case
 from repro.sim.generator import generate_workload
 from repro.sim.harness import QUICK_MATRIX, run_workload
 from repro.tquel.explain import explain
@@ -41,11 +45,15 @@ JAN15_1980 = parse_temporal("1/15/80")
 
 STRUCTURES = ("heap", "hash", "isam", "btree", "twolevel")
 
+CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "sim"
+# Corpus cases written to pin the fixed strategy's plans.
+FIXED_STRATEGY_CASES = ("13-static-hash.tquel", "16-rollback-twolevel.tquel")
 
-def build(scenario, optimizer: bool) -> TemporalDatabase:
-    db = TemporalDatabase(
-        "odiff", clock=Clock(start=MAR1_1980, tick=60), optimizer=optimizer
-    )
+
+def build(scenario, fixed: bool = False) -> TemporalDatabase:
+    db = TemporalDatabase("odiff", clock=Clock(start=MAR1_1980, tick=60))
+    if fixed:
+        db.planner.choose = db.planner.fixed_choice
     n = scenario["tuples"]
     db.execute("create persistent interval r (id = i4, v = i4, pad = c40)")
     structure = scenario["structure"]
@@ -128,8 +136,8 @@ def scenarios(draw):
     "updates": 5, "probe": 1, "threshold": 0,
 })
 def test_optimizer_on_off_rows_identical(scenario):
-    planned = build(scenario, optimizer=True)
-    fixed = build(scenario, optimizer=False)
+    planned = build(scenario)
+    fixed = build(scenario, fixed=True)
     try:
         for text in queries(scenario):
             planned_rows, planned_pages = run_query(planned, text)
@@ -155,8 +163,8 @@ def test_optimizer_on_off_mutations_identical(scenario):
         f"replace x (v = x.v + 5) where x.id = {scenario['probe']}",
         f"delete x where x.id = {(scenario['probe'] % 5) + 1}",
     ]
-    planned = build(scenario, optimizer=True)
-    fixed = build(scenario, optimizer=False)
+    planned = build(scenario)
+    fixed = build(scenario, fixed=True)
     try:
         for text in statements:
             planned.execute(text)
@@ -172,21 +180,29 @@ def test_optimizer_on_off_mutations_identical(scenario):
         release(fixed)
 
 
-def test_sim_workloads_agree_with_oracle_both_ways():
-    """Seeded sim workloads: optimizer on and off both match the
-    independent oracle on every structure of the quick matrix."""
-    for seed in (5, 11):
-        workload = generate_workload(seed, ops=60)
-        for config in QUICK_MATRIX:
-            for optimizer in (True, False):
-                report = run_workload(
-                    workload,
-                    dataclasses.replace(config, optimizer=optimizer),
-                )
+def test_sim_workloads_agree_with_oracle_both_ways(monkeypatch):
+    """Seeded sim workloads: the planner and the fixed strategy both
+    match the independent oracle on every structure of the quick
+    matrix."""
+    for strategy in ("planner", "fixed"):
+        if strategy == "fixed":
+            monkeypatch.setattr(Planner, "choose", Planner.fixed_choice)
+        for seed in (5, 11):
+            workload = generate_workload(seed, ops=60)
+            for config in QUICK_MATRIX:
+                report = run_workload(workload, config)
                 assert report.divergence is None, (
-                    f"seed {seed} {config.label} optimizer={optimizer}: "
+                    f"seed {seed} {config.label} {strategy}: "
                     f"{report.divergence}"
                 )
+
+
+def test_fixed_strategy_corpus_cases_agree_with_oracle(monkeypatch):
+    """The corpus cases that pin the fixed strategy replay under it."""
+    monkeypatch.setattr(Planner, "choose", Planner.fixed_choice)
+    for name in FIXED_STRATEGY_CASES:
+        report = replay_case(CORPUS / name)
+        assert report.divergence is None, f"{name}: {report.divergence}"
 
 
 def test_predictions_within_model_tolerance():
@@ -197,7 +213,7 @@ def test_predictions_within_model_tolerance():
             "structure": structure, "index": False, "partitions": 0,
             "tuples": 40, "updates": 4, "probe": 7, "threshold": 21,
         }
-        db = build(scenario, optimizer=True)
+        db = build(scenario)
         try:
             for text in (
                 "retrieve (x.id, x.v) where x.id = 7",

@@ -18,9 +18,7 @@ JAN15_1980 = parse_temporal("1/15/80")
 
 @pytest.fixture
 def db():
-    db = TemporalDatabase(
-        "explaincost", clock=Clock(start=MAR1_1980, tick=60), optimizer=True
-    )
+    db = TemporalDatabase("explaincost", clock=Clock(start=MAR1_1980, tick=60))
     db.execute(
         "create persistent interval emp (id = i4, dept = i4, pad = c40)"
     )
@@ -69,13 +67,9 @@ def test_snapshot_is_stable_across_runs(db):
     assert explain(db, probe) == explain(db, probe)
 
 
-def test_optimizer_off_prints_fixed_strategy_note(db):
-    db.optimizer_enabled = False
-    try:
-        plan = explain(db, "retrieve (e.pad) where e.id = 7")
-    finally:
-        db.optimizer_enabled = True
-    assert "cost: optimizer off (fixed access-path strategy)" in plan
+def test_fixed_strategy_probes_unpriced(db):
+    db.planner.choose = db.planner.fixed_choice
+    plan = explain(db, "retrieve (e.pad) where e.id = 7")
     assert "chosen" not in plan
     # The fixed strategy still probes; only the pricing is gone.
     assert "via keyed hash access on id" in plan
